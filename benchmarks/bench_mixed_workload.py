@@ -7,8 +7,8 @@ query misses the snapshot cache and the engine must refresh its read
 replica.  Two otherwise identical engines differ only in rebuild policy:
 
 * **delta engine** — default ``delta_threshold``: snapshots are patched via
-  ``CSRGraph.apply_delta`` + incremental truss maintenance +
-  ``TrussIndex.patched``.
+  ``CSRGraph.apply_delta`` + incremental truss maintenance, arrays only
+  (no copy of the dict-form store).
 * **rebuild engine** — ``delta_threshold=0``: every miss re-freezes the
   store and re-runs the full CSR decomposition (the PR 1 behaviour).
 

@@ -16,10 +16,8 @@ churn:
 * **rebuild engine** — ``delta_threshold=0``: every expiry forces a
   from-scratch freeze + full truss decomposition before the next query.
 
-Both kernels are measured and gated.  The dict kernel's
-:class:`TrussIndex` is patched in place by ``TrussIndex.patched`` vs
-rebuilt from scratch per expiry; the csr kernel's triangle incidence is
-carried across every expiry by
+Queries run on the engine's array kernels.  The snapshot's triangle
+incidence is carried across every expiry by
 :func:`~repro.graph.csr_triangles.patch_incidence` vs re-enumerated per
 version — ``test_incremental_incidence_counters`` asserts via the engine's
 ``incidence_patches`` / ``incidence_enumerations`` counters that the timed
@@ -30,9 +28,8 @@ Methodology notes (what keeps the gate honest):
 * The population is the dblp-like recipe at ``POPULATION_SCALE`` x size —
   rebuild cost is precisely what window maintenance hides, so the gate
   measures where rebuilds hurt (the same reasoning as
-  ``bench_full_rebuild``'s gate graph).  Measured margins at this scale:
-  incremental/rebuild ~3x on the csr kernel, ~4.5x on the dict kernel,
-  against the 2x gate.
+  ``bench_full_rebuild``'s gate graph).  Measured margin at this scale:
+  incremental/rebuild ~3-6x against the 2x gate.
 * The query *schedule* is precomputed by a scout pass outside every timed
   region: ``WindowedChurnStream.sample_query`` sorts the live edge set per
   call, which would otherwise dominate the timed loop identically on both
@@ -44,7 +41,7 @@ Methodology notes (what keeps the gate honest):
 
 ``test_policies_agree_on_results`` pins down that both policies answer the
 identically-seeded stream identically.  ``test_window_json_artifact``
-writes the per-kernel measurements to a JSON trajectory file
+writes the measurements of both policies to a JSON trajectory file
 (``BENCH_WINDOW_JSON`` env var, default ``BENCH_window.json``); the
 checked-in snapshot at the repo root lets future PRs diff windowed
 throughput.
@@ -90,10 +87,6 @@ TARGET_SPEEDUP = 2.0
 METHOD = "lctc"
 ETA = 50
 
-#: Both execution paths are gated: the dict kernel exercises the
-#: TrussIndex.patched upkeep, the csr kernel the patched triangle incidence.
-KERNELS = ("dict", "csr")
-
 STREAM_SEED = 13
 
 
@@ -129,62 +122,57 @@ def schedule(population, window):
     return warm_query, queries
 
 
-def _fresh_engine(population, window, schedule, kernel, **engine_kwargs):
+def _fresh_engine(population, window, schedule, **engine_kwargs):
     """A windowed engine filled to capacity from an identically-seeded stream.
 
     Returns the engine together with its stream, positioned just past the
     fill phase — so the timed region starts with a full window and every
     subsequent arrival expires an edge.  The warm snapshot and one warm
     query are issued outside timing for both policies alike; the warm query
-    also materializes the kernel-side artifacts (the dict-path index, or
-    the csr kernel's triangle incidence), so the incremental engine keeps
-    them patched from the first timed miss on.
+    also materializes the kernel's triangle incidence, so the incremental
+    engine keeps it patched from the first timed miss on.
     """
     stream = WindowedChurnStream(population, seed=STREAM_SEED)
     engine = SlidingWindowEngine(window=window, **engine_kwargs)
     stream.feed(engine, window)
     engine.snapshot()
-    engine.query(schedule[0], method=METHOD, eta=ETA, kernel=kernel)
+    engine.query(schedule[0], method=METHOD, eta=ETA)
     return engine, stream
 
 
-def _run_steps(engine, stream, kernel, queries) -> tuple[int, list]:
+def _run_steps(engine, stream, queries) -> tuple[int, list]:
     """Interleave BATCH arrivals with every scheduled query."""
     results = []
     for query in queries:
         stream.feed(engine, BATCH)
-        result = engine.query(query, method=METHOD, eta=ETA, kernel=kernel)
+        result = engine.query(query, method=METHOD, eta=ETA)
         assert result.contains_query()
         results.append((result.nodes, result.trussness))
     return len(queries), results
 
 
-def _queries_per_second(engine, stream, kernel, queries) -> float:
+def _queries_per_second(engine, stream, queries) -> float:
     started = time.perf_counter()
-    count, _ = _run_steps(engine, stream, kernel, queries)
+    count, _ = _run_steps(engine, stream, queries)
     return count / (time.perf_counter() - started)
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_bench_rebuild_per_expiry(benchmark, population, window, schedule, kernel):
+def test_bench_rebuild_per_expiry(benchmark, population, window, schedule):
     """Rebuild policy off: every expiry forces a from-scratch snapshot."""
-    engine, stream = _fresh_engine(
-        population, window, schedule, kernel, delta_threshold=0
-    )
+    engine, stream = _fresh_engine(population, window, schedule, delta_threshold=0)
     count, _ = benchmark.pedantic(
-        _run_steps, args=(engine, stream, kernel, schedule[1]), rounds=1, iterations=1
+        _run_steps, args=(engine, stream, schedule[1]), rounds=1, iterations=1
     )
     assert count == STEPS
     assert engine.stats.delta_applies == 0
     assert engine.stats.full_rebuilds == engine.stats.misses
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_bench_incremental_window(benchmark, population, window, schedule, kernel):
+def test_bench_incremental_window(benchmark, population, window, schedule):
     """Default policy: expiry churn is absorbed by patching the snapshot."""
-    engine, stream = _fresh_engine(population, window, schedule, kernel)
+    engine, stream = _fresh_engine(population, window, schedule)
     count, _ = benchmark.pedantic(
-        _run_steps, args=(engine, stream, kernel, schedule[1]), rounds=1, iterations=1
+        _run_steps, args=(engine, stream, schedule[1]), rounds=1, iterations=1
     )
     assert count == STEPS
     # Per-batch deltas sit far below the threshold: every miss after the
@@ -193,24 +181,21 @@ def test_bench_incremental_window(benchmark, population, window, schedule, kerne
     assert engine.stats.full_rebuilds == 1  # the warm-up snapshot only
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_policies_agree_on_results(population, window, schedule, kernel):
+def test_policies_agree_on_results(population, window, schedule):
     """Both maintenance policies must answer the same stream identically."""
-    incremental, incremental_stream = _fresh_engine(population, window, schedule, kernel)
+    incremental, incremental_stream = _fresh_engine(population, window, schedule)
     rebuild, rebuild_stream = _fresh_engine(
-        population, window, schedule, kernel, delta_threshold=0
+        population, window, schedule, delta_threshold=0
     )
-    _, incremental_results = _run_steps(
-        incremental, incremental_stream, kernel, schedule[1]
-    )
-    _, rebuild_results = _run_steps(rebuild, rebuild_stream, kernel, schedule[1])
+    _, incremental_results = _run_steps(incremental, incremental_stream, schedule[1])
+    _, rebuild_results = _run_steps(rebuild, rebuild_stream, schedule[1])
     assert incremental_results == rebuild_results
     assert incremental.window_edges() == rebuild.window_edges()
     assert incremental.stats.delta_applies > 0
 
 
 def test_incremental_incidence_counters(population, window, schedule):
-    """The csr-kernel delta path never re-enumerates triangles after warm-up.
+    """The delta path never re-enumerates triangles after warm-up.
 
     The warm-up (full rebuild + first query) accounts for exactly one full
     triangle enumeration; every expiry afterwards must patch the incidence
@@ -218,9 +203,9 @@ def test_incremental_incidence_counters(population, window, schedule):
     enumeration counter frozen — the property the ISSUE's acceptance gate
     demands instead of a timing proxy.
     """
-    engine, stream = _fresh_engine(population, window, schedule, "csr")
+    engine, stream = _fresh_engine(population, window, schedule)
     assert engine.stats.incidence_enumerations == 1
-    count, _ = _run_steps(engine, stream, "csr", schedule[1])
+    count, _ = _run_steps(engine, stream, schedule[1])
     assert count == STEPS
     assert engine.stats.incidence_enumerations == 1
     assert engine.stats.incidence_patches == engine.stats.delta_applies
@@ -228,42 +213,23 @@ def test_incremental_incidence_counters(population, window, schedule):
 
 
 def test_window_json_artifact(population, window, schedule):
-    """Measure both policies per kernel and write the JSON trajectory."""
-    rows = []
-    report = [""]
-    for kernel in KERNELS:
-        incremental, incremental_stream = _fresh_engine(
-            population, window, schedule, kernel
-        )
-        rebuild, rebuild_stream = _fresh_engine(
-            population, window, schedule, kernel, delta_threshold=0
-        )
-        incremental_qps = _queries_per_second(
-            incremental, incremental_stream, kernel, schedule[1]
-        )
-        rebuild_qps = _queries_per_second(rebuild, rebuild_stream, kernel, schedule[1])
-        rows.append(
-            {
-                "kernel": kernel,
-                "policy": "rebuild-per-expiry",
-                "queries_per_sec": round(rebuild_qps, 2),
-            }
-        )
-        rows.append(
-            {
-                "kernel": kernel,
-                "policy": "incremental-window",
-                "queries_per_sec": round(incremental_qps, 2),
-                "speedup": round(incremental_qps / rebuild_qps, 2),
-                "incidence_patches": incremental.stats.incidence_patches,
-                "incidence_enumerations": incremental.stats.incidence_enumerations,
-            }
-        )
-        report.append(
-            f"{kernel} kernel: rebuild {rebuild_qps:8.2f} q/s, "
-            f"incremental {incremental_qps:8.2f} q/s "
-            f"({incremental_qps / rebuild_qps:.2f}x)"
-        )
+    """Measure both policies and write the JSON trajectory."""
+    incremental, incremental_stream = _fresh_engine(population, window, schedule)
+    rebuild, rebuild_stream = _fresh_engine(
+        population, window, schedule, delta_threshold=0
+    )
+    incremental_qps = _queries_per_second(incremental, incremental_stream, schedule[1])
+    rebuild_qps = _queries_per_second(rebuild, rebuild_stream, schedule[1])
+    rows = [
+        {"policy": "rebuild-per-expiry", "queries_per_sec": round(rebuild_qps, 2)},
+        {
+            "policy": "incremental-window",
+            "queries_per_sec": round(incremental_qps, 2),
+            "speedup": round(incremental_qps / rebuild_qps, 2),
+            "incidence_patches": incremental.stats.incidence_patches,
+            "incidence_enumerations": incremental.stats.incidence_enumerations,
+        },
+    ]
     path = write_artifact(
         "bench_windowed_churn",
         {
@@ -272,27 +238,34 @@ def test_window_json_artifact(population, window, schedule):
             "steps": STEPS,
             "arrivals_per_query": BATCH,
             "gate": {"target_speedup": TARGET_SPEEDUP},
+            "notes": (
+                "queries run on the engine's array kernels; the engine has no "
+                "dict kernel, so there is no per-kernel split"
+            ),
         },
         env_var="BENCH_WINDOW_JSON",
         default_path="BENCH_window.json",
         rows=rows,
         medians=("queries_per_sec",),
     )
-    print(f"\nwindow trajectory -> {path}" + "\n".join(report))
+    print(
+        f"\nwindow trajectory -> {path}\nrebuild {rebuild_qps:8.2f} q/s, "
+        f"incremental {incremental_qps:8.2f} q/s "
+        f"({incremental_qps / rebuild_qps:.2f}x)"
+    )
     assert all(row["queries_per_sec"] > 0 for row in rows)
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_window_speedup_at_least_2x(population, window, schedule, kernel):
+def test_window_speedup_at_least_2x(population, window, schedule):
     """Acceptance gate: incremental window q/s >= 2x rebuild-per-expiry q/s.
 
     Timed in alternating per-round pairs, gated on the median ratio (see
     the module docstring's methodology notes).
     """
     rebuild, rebuild_stream = _fresh_engine(
-        population, window, schedule, kernel, delta_threshold=0
+        population, window, schedule, delta_threshold=0
     )
-    incremental, incremental_stream = _fresh_engine(population, window, schedule, kernel)
+    incremental, incremental_stream = _fresh_engine(population, window, schedule)
 
     ratios = []
     report = [""]
@@ -300,19 +273,17 @@ def test_window_speedup_at_least_2x(population, window, schedule, kernel):
         chunk = schedule[1][
             round_index * ROUND_STEPS : (round_index + 1) * ROUND_STEPS
         ]
-        rebuild_qps = _queries_per_second(rebuild, rebuild_stream, kernel, chunk)
-        incremental_qps = _queries_per_second(
-            incremental, incremental_stream, kernel, chunk
-        )
+        rebuild_qps = _queries_per_second(rebuild, rebuild_stream, chunk)
+        incremental_qps = _queries_per_second(incremental, incremental_stream, chunk)
         ratios.append(incremental_qps / rebuild_qps)
         report.append(
-            f"[{kernel}] round {round_index}: rebuild {rebuild_qps:8.2f} q/s, "
+            f"round {round_index}: rebuild {rebuild_qps:8.2f} q/s, "
             f"incremental {incremental_qps:8.2f} q/s ({ratios[-1]:.2f}x)"
         )
     speedup = statistics.median(ratios)
-    report.append(f"[{kernel}] median speedup: {speedup:.2f}x")
+    report.append(f"median speedup: {speedup:.2f}x")
     print("\n".join(report))
     assert speedup >= TARGET_SPEEDUP, (
-        f"[{kernel}] incremental window maintenance is not >= {TARGET_SPEEDUP}x "
+        f"incremental window maintenance is not >= {TARGET_SPEEDUP}x "
         f"rebuild-per-expiry: median {speedup:.2f}x over {GATE_ROUNDS} rounds"
     )

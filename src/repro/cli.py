@@ -13,7 +13,6 @@ Examples
 
     ctc-search search graph.txt --query q1 q2 q3 --method lctc
     ctc-search search graph.txt --query q1 q2 --engine --repeat 100
-    ctc-search search graph.txt --query q1 q2 --engine --repeat 100 --kernel dict
     ctc-search search graph.txt --query q1 q2 --engine --repeat 100 --mutate-every 5
     ctc-search search graph.txt --query q1 q2 --engine --repeat 100 --mutate-every 5 --at-version 0
     ctc-search search graph.txt --query q1 q2 --engine --repeat 100 --window 500
@@ -34,11 +33,9 @@ version ``V`` (time-travel reads that stay put while ``--mutate-every``
 advances the store), and ``--window W`` serves the queries from a
 :class:`~repro.engine.SlidingWindowEngine` that retains only the ``W``
 most recently inserted edges, expiring the rest through incremental truss
-maintenance.  ``--kernel`` picks the
-query execution path on engine snapshots: ``csr`` (the default with
-``--engine``) runs the CTC methods on the array kernels of
-:mod:`repro.ctc.kernels`, ``dict`` forces the classic dict path; results
-are identical either way.  ``--decomp`` picks the full-rebuild
+maintenance.  With ``--engine`` the CTC methods run on the array kernels of
+:mod:`repro.ctc.kernels`; without it, on the paper-reference dict path.
+Results are identical either way.  ``--decomp`` picks the full-rebuild
 decomposition strategy (``auto``/``vector``/``bucket`` — the
 level-synchronous vector peel or the sequential bucket queue; trussness is
 bit-identical either way).  ``--workers N`` serves the ``--repeat`` loop
@@ -83,6 +80,8 @@ from repro.engine import (
 )
 from repro.exceptions import (
     ConfigurationError,
+    NoCommunityFoundError,
+    QueryError,
     QueryTimeoutError,
     VersionEvictedError,
     WalCorruptionError,
@@ -139,18 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     search_parser.add_argument(
         "--engine",
         action="store_true",
-        help="serve the query through the cached CTCEngine (CSR snapshot + memoized truss index)",
-    )
-    search_parser.add_argument(
-        "--kernel",
-        choices=("csr", "dict"),
-        default=None,
-        help=(
-            "query execution path with --engine: 'csr' (default) runs the CTC "
-            "methods on the snapshot's array kernels, 'dict' forces the classic "
-            "dict path through the lazily built truss index; both return "
-            "identical communities"
-        ),
+        help="serve the query through the cached CTCEngine (CSR snapshot + array kernels)",
     )
     search_parser.add_argument(
         "--decomp",
@@ -313,8 +301,6 @@ def _run_search(args: argparse.Namespace) -> int:
         raise SystemExit("--cache-size must be >= 1")
     if args.delta_threshold < 0:
         raise SystemExit("--delta-threshold must be >= 0")
-    if args.kernel == "csr" and not args.engine:
-        raise SystemExit("--kernel csr requires --engine (the kernels run on engine snapshots)")
     if args.decomp and not args.engine:
         raise SystemExit("--decomp requires --engine (it picks the snapshot rebuild strategy)")
     if args.at_version is not None and not args.engine:
@@ -365,7 +351,6 @@ def _run_search(args: argparse.Namespace) -> int:
             "--at-version requires --serving-mode thread (shard workers hold "
             "independent version histories)"
         )
-    kernel = args.kernel or ("csr" if args.engine else "dict")
     durability = None
     if args.data_dir:
         durability = DurabilityConfig(
@@ -437,7 +422,6 @@ def _run_search(args: argparse.Namespace) -> int:
                 results = serving.query_batch(
                     [args.query] * size,
                     args.method,
-                    kernel=kernel,
                     at_version=args.at_version,
                     timeout=args.query_timeout,
                     eta=args.eta,
@@ -455,21 +439,16 @@ def _run_search(args: argparse.Namespace) -> int:
                     method=args.method,
                     eta=args.eta,
                     gamma=args.gamma,
-                    kernel=kernel,
                     at_version=args.at_version,
                 )
-    except QueryTimeoutError as error:
+    except Exception as error:
         if serving is not None:
             serving.close()
-        raise SystemExit(f"--query-timeout: {error}") from None
-    except VersionEvictedError as error:
-        if serving is not None:
-            serving.close()
-        raise SystemExit(f"--at-version: {error}") from None
-    except ValueError as error:
-        if serving is not None:
-            serving.close()
-        if args.at_version is not None:
+        if isinstance(error, QueryTimeoutError):
+            raise SystemExit(f"--query-timeout: {error}") from None
+        if isinstance(error, VersionEvictedError) or (
+            isinstance(error, ValueError) and args.at_version is not None
+        ):
             raise SystemExit(f"--at-version: {error}") from None
         raise
     elapsed = time.perf_counter() - started
@@ -493,7 +472,6 @@ def _run_search(args: argparse.Namespace) -> int:
     if serving is not None:
         serving.close()
     if args.engine:
-        print(f"kernel:        {kernel}")
         print(f"decomp:        {target.decomp}")
         print(
             f"engine cache:  {stats.hits} hits, {stats.misses} misses "
@@ -572,13 +550,22 @@ def _run_experiment(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    Bad input the library reports with a typed error (an unknown or
+    disconnected query, a misconfiguration) prints one ``error: ...`` line
+    on stderr and returns 1 instead of a traceback.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "search":
-        return _run_search(args)
-    if args.command == "experiment":
-        return _run_experiment(args)
+    try:
+        if args.command == "search":
+            return _run_search(args)
+        if args.command == "experiment":
+            return _run_experiment(args)
+    except (QueryError, NoCommunityFoundError, ConfigurationError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     parser.error("unknown command")
     return 2
 

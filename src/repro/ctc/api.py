@@ -2,9 +2,13 @@
 
 Most users want "give me the closest truss community for these query nodes"
 without wiring the index, algorithm class and parameters themselves.  The
-facade accepts a plain graph, a prebuilt :class:`TrussIndex`, or a
-:class:`~repro.engine.CTCEngine` (whose cached snapshot index is used), a
-query, and a method name, and dispatches to the right implementation:
+facade accepts a plain graph, a prebuilt :class:`TrussIndex`, a
+:class:`~repro.engine.CTCEngine` or a pinned
+:class:`~repro.engine.EngineSnapshot`, a query, and a method name.  The
+input type picks the execution path: an engine or snapshot runs the
+CSR-native array kernels (:mod:`repro.ctc.kernels`), a plain graph or a
+prebuilt index the paper-reference dict path.  The method name picks the
+algorithm:
 
 ======================  ===========================================================
 ``method``              algorithm
@@ -66,7 +70,7 @@ def build_engine(
     """Build (and return) a :class:`~repro.engine.CTCEngine` over ``graph``.
 
     The engine is the right entry point for *mixed* workloads: reads are
-    served from cached CSR/TrussIndex snapshots, and mutations issued
+    served from cached CSR snapshots by the array kernels, and mutations issued
     through the engine propagate to those snapshots as structured
     :class:`~repro.graph.delta.GraphDelta` batches (patched in place while
     small, rebuilt from scratch past ``delta_threshold``).  ``window``
@@ -99,7 +103,6 @@ def search(
     gamma: float = DEFAULT_GAMMA,
     max_trussness_k: int | None = None,
     time_budget_seconds: float | None = None,
-    kernel: str = "csr",
     at_version: int | None = None,
 ) -> CommunityResult:
     """Find a community containing ``query`` in ``graph``.
@@ -109,9 +112,12 @@ def search(
     graph:
         An :class:`UndirectedGraph` (an index is built on the fly — pay this
         cost once per graph by preferring the alternatives for repeated
-        queries), a prebuilt :class:`TrussIndex`, a
-        :class:`~repro.engine.CTCEngine` (served from its cached snapshot),
-        or a pinned :class:`~repro.engine.EngineSnapshot`.
+        queries) or a prebuilt :class:`TrussIndex`, both answered by the
+        paper-reference dict path; or a :class:`~repro.engine.CTCEngine`
+        (served from its cached snapshot) or a pinned
+        :class:`~repro.engine.EngineSnapshot`, both answered by the
+        snapshot's array kernels.  The two paths return identical
+        communities.
     query:
         Non-empty sequence of query nodes; duplicates are ignored.
     method:
@@ -124,13 +130,6 @@ def search(
     time_budget_seconds:
         Optional wall-clock cap for the global methods (``basic``,
         ``bulk-delete``), mirroring the paper's one-hour limit.
-    kernel:
-        Execution path for engine/snapshot inputs: ``"csr"`` (default) runs
-        the CTC methods on the snapshot's array kernels
-        (:mod:`repro.ctc.kernels`), ``"dict"`` forces the classic dict path
-        through the snapshot's lazily built :class:`TrussIndex`.  Both
-        return identical communities; plain graphs and prebuilt indexes
-        always use the dict path.
     at_version:
         Pin the read to a historical store version (a time-travel read via
         :meth:`~repro.engine.CTCEngine.snapshot_at`).  Only valid when
@@ -146,15 +145,11 @@ def search(
     Raises
     ------
     ConfigurationError
-        If ``method`` or ``kernel`` is unknown.
+        If ``method`` is unknown.
     QueryError, NoCommunityFoundError
         Propagated from the underlying algorithm when the query is invalid
         or no community exists.
     """
-    if kernel not in ("csr", "dict"):
-        raise ConfigurationError(
-            f"unknown kernel {kernel!r}; expected 'csr' or 'dict'"
-        )
     # Imported lazily: repro.engine depends on this module for search().
     from repro.engine import CTCEngine, EngineSnapshot
 
@@ -173,8 +168,7 @@ def search(
     else:
         index = TrussIndex(graph)
     if method in _BASELINE_METHODS:
-        # The baselines only ever need the frozen graph, never an index, so
-        # dispatch them before the kernel knob can force a lazy index build.
+        # The baselines only ever need the dict-form graph, never an index.
         baseline_graph = snapshot.graph if snapshot is not None else index.graph
         if method == "mdc":
             from repro.baselines.mdc import MinimumDegreeCommunity
@@ -184,9 +178,6 @@ def search(
 
         return QueryBiasedDensestCommunity(baseline_graph).search(query)
 
-    if snapshot is not None and kernel == "dict":
-        index = snapshot.index
-        snapshot = None
     # The CTC algorithm classes dispatch on what they are handed: an
     # EngineSnapshot selects the CSR-native kernels, a TrussIndex the dict
     # path (see repro.ctc.kernels.kernel_of).

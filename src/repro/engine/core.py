@@ -12,10 +12,12 @@ arXiv:2103.00798): one **mutable store** (an
 :class:`~repro.graph.simple_graph.UndirectedGraph`) absorbs updates, while
 every analytical query is served from a **frozen snapshot** of that store —
 a :class:`~repro.graph.csr.CSRGraph` plus the per-edge trussness array its
-CSR-fast-path decomposition produced.  Queries execute on the snapshot's
-CSR-native kernels (:mod:`repro.ctc.kernels`) by default; the dict-path
-:class:`TrussIndex` is derived lazily for consumers that ask for it
-(``kernel="dict"``, direct ``snapshot().index`` access).
+CSR-fast-path decomposition produced.  Every CTC query executes on the
+snapshot's CSR-native kernels (:mod:`repro.ctc.kernels`); the engine has no
+second, dict-form query path.  The seed dict implementation
+(:class:`~repro.trusses.index.TrussIndex` and the algorithms over it) stays
+the paper reference and test oracle, reached by handing
+:func:`~repro.ctc.api.search` a plain graph or a prebuilt index.
 
 Delta propagation / rebuild policy
 ----------------------------------
@@ -29,11 +31,12 @@ snapshot miss the engine picks between two build paths:
 * **delta apply** — if a cached snapshot plus a contiguous, fully-retained
   run of log entries reaches the current version, and the composed delta is
   small relative to that snapshot (``delta.size() <= delta_threshold *
-  edges``), the new snapshot is produced by patching: the frozen store copy
-  is edited in place, :meth:`CSRGraph.apply_delta` rewrites only touched
-  adjacency rows, incremental truss maintenance
-  (:mod:`repro.trusses.incremental`) re-evaluates only the affected edges,
-  and :meth:`TrussIndex.patched` rebuilds only touched index entries.
+  edges``), the new snapshot is produced by patching arrays only:
+  :meth:`CSRGraph.apply_delta` rewrites only touched adjacency rows,
+  :func:`~repro.graph.csr_triangles.patch_incidence` carries the triangle
+  incidence forward, and incremental truss maintenance
+  (:mod:`repro.trusses.incremental`) re-evaluates only the affected edges.
+  The dict-form store is neither read nor copied.
 * **full rebuild** — otherwise (cold cache, log truncation, or a delta too
   large for patching to win), the classic freeze + CSR decomposition runs.
 
@@ -76,8 +79,9 @@ Caching / invalidation contract
   mutation hooks, which deliver the cascade's ``GraphDelta``; hook dispatch
   is exception-safe, so the version bump and log append happen even if
   another hook raises mid-batch.
-* A snapshot, once built, is immutable: it holds a private frozen copy of
-  the store, so in-flight results never see later mutations.
+* A snapshot, once built, is immutable: it holds its own frozen arrays
+  (never views of the mutable store), so in-flight results never see later
+  mutations.
 
 Concurrency: epoch-pinned snapshots
 -----------------------------------
@@ -106,6 +110,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass, field
@@ -132,7 +137,6 @@ from repro.graph.delta import GraphDelta
 from repro.graph.simple_graph import UndirectedGraph
 from repro.trusses.csr_decomposition import csr_decompose, csr_edge_supports
 from repro.trusses.incremental import incremental_truss_update
-from repro.trusses.index import TrussIndex
 from repro.trusses.maintenance import KTrussMaintainer
 
 if TYPE_CHECKING:
@@ -164,23 +168,21 @@ def _apply_delta_to_graph(graph: UndirectedGraph, delta: GraphDelta) -> None:
 
 
 class EngineSnapshot:
-    """One frozen version of the engine's store, indexed on demand.
+    """One frozen version of the engine's store, held as arrays only.
 
     The eagerly built attributes are the array replica — ``csr`` (the
     frozen CSR form) and ``trussness`` (the per-edge-id trussness array
-    the incremental maintenance of the *next* delta apply consumes).
-    ``graph`` (a private frozen dict-form copy, never mutated) is eager on
-    the ordinary build paths but lazily thawed from ``csr`` when the
-    snapshot was seeded straight from frozen arrays (``graph=None``).
-    Everything derived for query execution is **lazy**:
+    the incremental maintenance of the *next* delta apply consumes).  No
+    build path copies the dict-form store into a snapshot; everything else
+    is **lazy**:
 
-    * :attr:`kernel` — the :class:`~repro.ctc.kernels.QueryKernel` the
-      CSR-native query path runs on, memoized so its sorted-adjacency
+    * :attr:`kernel` — the :class:`~repro.ctc.kernels.QueryKernel` every
+      CTC query on this version runs on, memoized so its sorted-adjacency
       arrays amortize across every query on this version;
-    * :attr:`index` — the dict-path :class:`TrussIndex`, built (together
-      with its O(m) canonical-edge-key trussness dict) only when a
-      dict-path consumer first asks for it.  A snapshot serving only
-      CSR-native queries never pays for it;
+    * :attr:`graph` — a dict-form :class:`UndirectedGraph` thawed from
+      ``csr`` on first access, for the consumers that need one (the
+      ``mdc``/``qdc`` baselines).  A snapshot serving only CTC queries
+      never pays the O(m) Python reconstruction;
     * :attr:`supports` — the per-edge-id triangle counts; a full rebuild
       hands them over from the decomposition (which computes them anyway)
       and a delta apply from the patched incidence, so consumers no longer
@@ -212,31 +214,28 @@ class EngineSnapshot:
         "trussness",
         "incidence",
         "_supports",
-        "_index",
         "_kernel",
         "_on_enumerate",
         "_lazy_lock",
+        "__weakref__",
     )
 
     def __init__(
         self,
         version: int,
-        graph: UndirectedGraph | None,
         csr: CSRGraph,
         trussness: np.ndarray,
-        index: TrussIndex | None = None,
         *,
         supports: np.ndarray | None = None,
         incidence: TriangleIncidence | None = None,
         on_enumerate=None,
     ) -> None:
         self.version = version
-        self._graph = graph
+        self._graph: UndirectedGraph | None = None
         self.csr = csr
         self.trussness = trussness
         self.incidence = incidence
         self._supports = supports
-        self._index = index
         self._kernel: "QueryKernel | None" = None
         self._on_enumerate = on_enumerate
         #: Serializes the lazy builds below so concurrent readers of one
@@ -245,13 +244,10 @@ class EngineSnapshot:
 
     @property
     def graph(self) -> UndirectedGraph:
-        """The snapshot's frozen dict-form store (never mutated).
+        """The snapshot's dict-form graph, thawed from :attr:`csr` on first access.
 
-        Snapshots seeded straight from frozen arrays — a recovered
-        checkpoint, a serving worker's shared-memory baseline — are built
-        with ``graph=None`` and thaw the dict form from :attr:`csr` on
-        first access, so array-kernel consumers never pay the O(m) Python
-        reconstruction.
+        Memoized and never mutated; it is a private graph, not the engine's
+        live store.
         """
         if self._graph is None:
             with self._lazy_lock:
@@ -288,23 +284,6 @@ class EngineSnapshot:
         return self._supports
 
     @property
-    def index(self) -> TrussIndex:
-        """The dict-path :class:`TrussIndex`, built lazily on first access."""
-        if self._index is None:
-            with self._lazy_lock:
-                if self._index is None:
-                    edge_trussness = {
-                        self.csr.edge_key_of(edge): int(self.trussness[edge])
-                        for edge in range(self.csr.number_of_edges())
-                    }
-                    self._index = TrussIndex(self.graph, edge_trussness=edge_trussness)
-        return self._index
-
-    def has_index(self) -> bool:
-        """Return ``True`` if the dict-path index has already been built."""
-        return self._index is not None
-
-    @property
     def kernel(self) -> "QueryKernel":
         """The CSR-native :class:`QueryKernel`, built lazily on first access."""
         if self._kernel is None:
@@ -312,11 +291,22 @@ class EngineSnapshot:
                 if self._kernel is None:
                     from repro.ctc.kernels import QueryKernel
 
+                    # The kernel calls back through a weak reference: a
+                    # bound method would make snapshot and kernel a cycle,
+                    # so an evicted snapshot's arrays would wait for the
+                    # cyclic collector instead of being freed on eviction.
+                    snapshot = weakref.ref(self)
+
+                    def adopt(incidence: TriangleIncidence) -> None:
+                        owner = snapshot()
+                        if owner is not None:
+                            owner._adopt_incidence(incidence)
+
                     self._kernel = QueryKernel(
                         self.csr,
                         self.trussness,
                         incidence=self.incidence,
-                        on_enumerate=self._adopt_incidence,
+                        on_enumerate=adopt,
                     )
         return self._kernel
 
@@ -411,12 +401,12 @@ class SnapshotLease:
         return self._released
 
     def query(
-        self, query: Sequence[Hashable], method: str = "lctc", *, kernel: str = "csr", **kwargs
+        self, query: Sequence[Hashable], method: str = "lctc", **kwargs
     ) -> CommunityResult:
         """Answer one query against the pinned snapshot (never a newer one)."""
         from repro.ctc.api import search
 
-        return search(self.snapshot, query, method=method, kernel=kernel, **kwargs)
+        return search(self.snapshot, query, method=method, **kwargs)
 
     def release(self) -> None:
         """Drop the pin (idempotent); reclamation may then evict the version."""
@@ -600,7 +590,6 @@ class CTCEngine:
         if trussness is not None:
             seeded = EngineSnapshot(
                 version=0,
-                graph=None if lazy else engine._graph.copy(),
                 csr=csr,
                 trussness=trussness,
                 supports=supports,
@@ -883,7 +872,6 @@ class CTCEngine:
                 base_version = checkpoint.version
                 seeded = EngineSnapshot(
                     version=checkpoint.version,
-                    graph=None,  # thawed from csr on demand
                     csr=checkpoint.csr,
                     trussness=checkpoint.trussness,
                     supports=checkpoint.supports,
@@ -1240,16 +1228,14 @@ class CTCEngine:
 
         The caller froze the store under the engine mutex (a plain copy for
         the current version, a :meth:`_graph_at` reconstruction for a
-        historical one); the decomposition here runs without any lock.
-        Runs triangle enumeration + decomposition once via
+        historical one); the freeze and decomposition here run without any
+        lock, and ``frozen`` is dropped once the CSR form is built.  Runs
+        triangle enumeration + decomposition once via
         :func:`~repro.trusses.csr_decomposition.csr_decompose` (strategy
         from the ``decomp`` knob) and hands every artifact of the pass —
         trussness, supports, and the triangle incidence when the vector
         strategy enumerated one — to the snapshot, so nothing is computed
-        twice downstream.  The dict-path :class:`TrussIndex` (and its O(m)
-        canonical-edge-key trussness dict) is *not* built here —
-        :attr:`EngineSnapshot.index` materializes it on first dict-path
-        access.
+        twice downstream.
         """
         csr = CSRGraph.from_graph(frozen)
         result = csr_decompose(csr, method=self._decomp)
@@ -1257,7 +1243,6 @@ class CTCEngine:
             self._note_enumeration()
         return EngineSnapshot(
             version=version,
-            graph=frozen,
             csr=csr,
             trussness=result.trussness,
             supports=result.supports,
@@ -1277,22 +1262,18 @@ class CTCEngine:
         if delta.is_empty():
             # Mutations cancelled out (e.g. an edge removed and re-added):
             # the base snapshot's content is exactly current, so every
-            # derived structure (index, kernel) can be shared as-is.
+            # derived structure (thawed graph, kernel) can be shared as-is.
             clone = EngineSnapshot(
                 version=version,
-                graph=base.graph,
                 csr=base.csr,
                 trussness=base.trussness,
-                index=base._index,
                 supports=base._supports,
                 incidence=base.incidence,
                 on_enumerate=self._note_enumeration,
             )
+            clone._graph = base._graph
             clone._kernel = base._kernel
             return clone
-
-        frozen = base.graph.copy()
-        _apply_delta_to_graph(frozen, delta)
 
         patch = base.csr.apply_delta(delta)
         incidence: TriangleIncidence | None = None
@@ -1303,39 +1284,17 @@ class CTCEngine:
             incidence = patch_incidence(base.incidence, patch)
             with self._mutex:
                 self.stats.incidence_patches += 1
-        trussness, changed = incremental_truss_update(
+        trussness, _ = incremental_truss_update(
             base.csr,
             base.trussness,
             patch,
             incidence=base.incidence,
             new_incidence=incidence,
         )
-        csr = patch.csr
-
-        index: TrussIndex | None = None
-        if base.has_index():
-            # The base version served dict-path consumers, so keep the
-            # patched index warm; otherwise stay lazy and skip the work.
-            trussness_updates: dict = {}
-            touched_nodes = delta.touched_labels() - delta.removed_nodes
-            for edge in changed.tolist():
-                trussness_updates[csr.edge_key_of(edge)] = int(trussness[edge])
-                u, v = csr.edge_endpoint_ids(edge)
-                touched_nodes.add(csr.node_label(u))
-                touched_nodes.add(csr.node_label(v))
-            index = base.index.patched(
-                frozen,
-                trussness_updates=trussness_updates,
-                dropped_edges=delta.removed_edges,
-                dropped_nodes=delta.removed_nodes,
-                touched_nodes=touched_nodes,
-            )
         return EngineSnapshot(
             version=version,
-            graph=frozen,
-            csr=csr,
+            csr=patch.csr,
             trussness=trussness,
-            index=index,
             supports=incidence.supports if incidence is not None else None,
             incidence=incidence,
             on_enumerate=self._note_enumeration,
@@ -1371,33 +1330,27 @@ class CTCEngine:
         query: Sequence[Hashable],
         method: str = "lctc",
         *,
-        kernel: str = "csr",
         at_version: int | None = None,
         **kwargs,
     ) -> CommunityResult:
         """Answer one CTC/baseline query from the current (or a pinned) snapshot.
 
         ``method`` and keyword arguments are those of
-        :func:`repro.ctc.api.search`.  ``kernel`` selects the execution
-        path: ``"csr"`` (default) runs the CTC methods on the snapshot's
-        array kernels, ``"dict"`` forces the classic dict path through the
-        snapshot's (lazily built) :class:`TrussIndex`.  ``at_version`` pins
-        the read to a historical store version via :meth:`snapshot_at` (a
-        time-travel read; ``None`` reads the current version).  Either way
-        no per-query decomposition happens.
+        :func:`repro.ctc.api.search`; the CTC methods run on the snapshot's
+        array kernels.  ``at_version`` pins the read to a historical store
+        version via :meth:`snapshot_at` (a time-travel read; ``None`` reads
+        the current version).  Either way no per-query decomposition
+        happens.
         """
         from repro.ctc.api import search
 
-        return search(
-            self.snapshot_at(at_version), query, method=method, kernel=kernel, **kwargs
-        )
+        return search(self.snapshot_at(at_version), query, method=method, **kwargs)
 
     def query_batch(
         self,
         queries: Iterable[Sequence[Hashable]],
         method: str = "lctc",
         *,
-        kernel: str = "csr",
         at_version: int | None = None,
         **kwargs,
     ) -> list[CommunityResult]:
@@ -1405,16 +1358,12 @@ class CTCEngine:
 
         The snapshot is resolved once up front, so every query in the batch
         sees the same graph version even if another thread of control
-        mutates the store mid-batch.  ``kernel`` and ``at_version`` are as
-        in :meth:`query`.
+        mutates the store mid-batch.  ``at_version`` is as in :meth:`query`.
         """
         from repro.ctc.api import search
 
         snapshot = self.snapshot_at(at_version)
-        return [
-            search(snapshot, query, method=method, kernel=kernel, **kwargs)
-            for query in queries
-        ]
+        return [search(snapshot, query, method=method, **kwargs) for query in queries]
 
     def __repr__(self) -> str:
         # A lazy (not-yet-thawed) store answers counts from the CSR so

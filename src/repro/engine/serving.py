@@ -367,7 +367,7 @@ def _shard_worker(
 
     * ``("mutate", op_name, args)`` — apply a store mutation; no reply
       (fire-and-forget keeps the parent's writer non-blocking).
-    * ``("query_batch", rid, queries, method, kernel, kwargs, directives)``
+    * ``("query_batch", rid, queries, method, kwargs, directives)``
       — answer every query against one snapshot; replies
       ``("result", rid, [("ok", result) | ("err", exc), ...], version)``.
       ``directives`` carries fault-injection orders: ``poison`` exits the
@@ -440,7 +440,7 @@ def _shard_worker(
                     # and is safe to drop.
                     pass
             elif op == "query_batch":
-                _, rid, queries, method, kernel, kwargs, directives = message
+                _, rid, queries, method, kwargs, directives = message
                 if directives.get("poison"):
                     # Simulate a query taking its executor down mid-batch:
                     # no reply, no cleanup — the parent must recover.
@@ -449,9 +449,7 @@ def _shard_worker(
                 replies = []
                 for query in queries:
                     try:
-                        result = search(
-                            snapshot, query, method=method, kernel=kernel, **kwargs
-                        )
+                        result = search(snapshot, query, method=method, **kwargs)
                         replies.append(("ok", result))
                     except Exception as exc:
                         replies.append(("err", _picklable_exception(exc)))
@@ -593,7 +591,9 @@ class ServingEngine:
         csr = snapshot.csr
         #: Authoritative routing mirror: same content as the union of all
         #: shard stores, mutated in lock-step with the routed mutations.
-        self._mirror = snapshot.graph.copy()
+        #: Copied from the baseline's store, not thawed from the snapshot's
+        #: CSR (a copy is the cheaper of the two).
+        self._mirror = baseline.graph.copy()
 
         shards = balanced_shards(self._mirror, self._workers)
         if not shards:
@@ -849,7 +849,7 @@ class ServingEngine:
         return self._respawn(shard)
 
     def _dispatch(
-        self, shard: int, queries: list, method: str, kernel: str, kwargs: dict,
+        self, shard: int, queries: list, method: str, kwargs: dict,
         shard_budget: float | None,
     ) -> int:
         """Send one query batch to ``shard``; returns the reply rid.
@@ -879,7 +879,7 @@ class ServingEngine:
         rid = next(self._rid)
         try:
             self._conns[shard].send(
-                ("query_batch", rid, queries, method, kernel, send_kwargs, directives)
+                ("query_batch", rid, queries, method, send_kwargs, directives)
             )
         except (BrokenPipeError, OSError):
             raise _WorkerCrashed(f"shard {shard} pipe broke on dispatch") from None
@@ -929,7 +929,6 @@ class ServingEngine:
         positions: list[int],
         batch: list,
         method: str,
-        kernel: str,
         kwargs: dict,
         deadlines: list,
         budgets: list,
@@ -977,7 +976,6 @@ class ServingEngine:
                         shard,
                         [batch[p] for p in pending],
                         method,
-                        kernel,
                         kwargs,
                         shard_budget,
                     )
@@ -1189,15 +1187,13 @@ class ServingEngine:
         query: Sequence[Hashable],
         method: str = "lctc",
         *,
-        kernel: str = "csr",
         at_version: int | None = None,
         timeout: float | None = None,
         **kwargs,
     ) -> CommunityResult:
         """Answer one query (a batch of one; prefer :meth:`query_batch`)."""
         return self.query_batch(
-            [query], method, kernel=kernel, at_version=at_version, timeout=timeout,
-            **kwargs,
+            [query], method, at_version=at_version, timeout=timeout, **kwargs
         )[0]
 
     def query_batch(
@@ -1205,7 +1201,6 @@ class ServingEngine:
         queries: Iterable[Sequence[Hashable]],
         method: str = "lctc",
         *,
-        kernel: str = "csr",
         at_version: int | None = None,
         timeout=None,
         return_exceptions: bool = False,
@@ -1242,16 +1237,14 @@ class ServingEngine:
                     "thread mode (or a plain CTCEngine) for time-travel reads"
                 )
             return self._query_batch_process(
-                batch, method, kernel, kwargs, return_exceptions, deadlines, budgets
+                batch, method, kwargs, return_exceptions, deadlines, budgets
             )
         return self._query_batch_thread(
-            batch, method, kernel, at_version, kwargs, return_exceptions,
-            deadlines, budgets,
+            batch, method, at_version, kwargs, return_exceptions, deadlines, budgets
         )
 
     def _query_batch_thread(
-        self, batch, method, kernel, at_version, kwargs, return_exceptions,
-        deadlines, budgets,
+        self, batch, method, at_version, kwargs, return_exceptions, deadlines, budgets
     ) -> list:
         from repro.ctc.api import search
 
@@ -1281,12 +1274,9 @@ class ServingEngine:
                     self.stats.snapshot_reuses += 1
                 self._last_version = lease.version
             snapshot = lease.snapshot
-            # Warm the lazy per-version structure once, before the fan-out,
-            # so the workers never race to build it B times.
-            if kernel == "dict":
-                snapshot.index
-            else:
-                snapshot.kernel
+            # Warm the lazy per-version kernel once, before the fan-out, so
+            # the workers never race to build it B times.
+            snapshot.kernel
             if not batch:
                 return []
 
@@ -1319,9 +1309,7 @@ class ServingEngine:
                 ):
                     call_kwargs = dict(kwargs, time_budget_seconds=budgets[index])
                 try:
-                    return search(
-                        snapshot, query, method=method, kernel=kernel, **call_kwargs
-                    )
+                    return search(snapshot, query, method=method, **call_kwargs)
                 except Exception as exc:
                     return exc
 
@@ -1351,7 +1339,7 @@ class ServingEngine:
         return results
 
     def _query_batch_process(
-        self, batch, method, kernel, kwargs, return_exceptions, deadlines, budgets
+        self, batch, method, kwargs, return_exceptions, deadlines, budgets
     ) -> list:
         results: list = [None] * len(batch)
         per_shard: dict[int, list[int]] = defaultdict(list)
@@ -1389,7 +1377,6 @@ class ServingEngine:
                             shard,
                             [batch[p] for p in positions],
                             method,
-                            kernel,
                             kwargs,
                             shard_budget,
                         )
@@ -1399,7 +1386,7 @@ class ServingEngine:
                 dispatched[shard] = rid
             for shard, positions in per_shard.items():
                 self._serve_shard(
-                    shard, positions, batch, method, kernel, kwargs,
+                    shard, positions, batch, method, kwargs,
                     deadlines, budgets, results, rid=dispatched[shard],
                 )
         if not return_exceptions:
@@ -1436,14 +1423,13 @@ class ServingEngine:
         query: Sequence[Hashable],
         method: str = "lctc",
         *,
-        kernel: str = "csr",
         timeout: float | None = None,
         **kwargs,
     ) -> CommunityResult:
         """Answer one query, coalescing with concurrently-awaiting callers.
 
         Every ``aquery`` call enqueues; a single drainer task groups the
-        backlog by ``(method, kernel, kwargs, timeout)`` and runs each group
+        backlog by ``(method, kwargs, timeout)`` and runs each group
         as one :meth:`query_batch` in a worker thread — so N coroutines
         gathered together resolve N queries against one pinned snapshot,
         without the callers knowing about each other.  ``timeout`` is this
@@ -1455,7 +1441,6 @@ class ServingEngine:
         future: asyncio.Future = loop.create_future()
         group = (
             method,
-            kernel,
             _kwargs_group_key(kwargs),
             None if timeout is None else float(timeout),
         )
@@ -1474,7 +1459,7 @@ class ServingEngine:
             groups: dict = defaultdict(list)
             for group, query, kwargs, future in backlog:
                 groups[group].append((query, kwargs, future))
-            for (method, kernel, _, timeout), items in groups.items():
+            for (method, _, timeout), items in groups.items():
                 # The group key is repr-based; two kwargs dicts can collide
                 # on repr without being equal (e.g. np.float64(1.0) vs 1.0).
                 # Sub-bucket by actual equality so no member ever runs with
@@ -1496,7 +1481,6 @@ class ServingEngine:
                                 self.query_batch,
                                 queries,
                                 method,
-                                kernel=kernel,
                                 timeout=timeout,
                                 return_exceptions=True,
                                 **bucket_kwargs,

@@ -25,7 +25,7 @@ recently inserted ones.  Precisely:
   via :func:`~repro.graph.csr_triangles.patch_incidence`, so the csr
   kernel never re-enumerates per expiry (``delta_threshold=0`` turns that
   off and rebuilds per expiry — the comparison
-  ``benchmarks/bench_windowed_churn.py`` gates on, for both kernels);
+  ``benchmarks/bench_windowed_churn.py`` gates on);
 * an endpoint that loses its last live edge to expiry is dropped with it,
   so the windowed store always equals the graph induced by the live edge
   set — the invariant the equivalence suite

@@ -5,8 +5,8 @@ that for any graph and any query, running Basic, BulkDelete, LCTC or the
 Truss baseline on an :class:`EngineSnapshot`'s arrays returns *exactly* the
 community the dict-path classes return — same node set, same edge set, same
 trussness, same query distance, same diameter, same iteration count, and
-the same ``NoCommunityFoundError`` / ``QueryError`` outcomes — so the
-engine's ``kernel`` knob is purely a performance decision.  (Extends the
+the same ``NoCommunityFoundError`` / ``QueryError`` outcomes — so an
+engine answers exactly what the paper-reference dict path answers.  (Extends the
 ``tests/trusses/test_delta_equivalence.py`` pattern from snapshot
 maintenance to query execution.)
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.ctc.api import search
+from repro.ctc.api import build_index, search
 from repro.ctc.basic import BasicCTC
 from repro.ctc.bulk_delete import BulkDeleteCTC
 from repro.ctc.kernels import QueryKernel, kernel_of
@@ -114,19 +114,20 @@ class TestKernelEquivalence:
                 expected = outcome(index, query, method, **kwargs)
                 actual = outcome(snapshot, query, method, **kwargs)
                 assert actual == expected, (method, query, kwargs)
-        # The kernel path never needs the dict index.
-        assert not snapshot.has_index()
+        # The kernel path never thaws the dict form of the snapshot.
+        assert snapshot._graph is None
 
     @common_settings
     @given(data=graphs_and_queries())
-    def test_kernel_dict_knob_is_pure_performance(self, data):
-        """kernel='csr' and kernel='dict' agree through the engine facade."""
+    def test_engine_matches_paper_reference(self, data):
+        """The engine facade answers what the dict path answers on its store."""
         graph, queries = data
         engine = CTCEngine(graph)
+        reference = build_index(engine.graph.copy())
         for query in queries[:2]:
-            via_csr = outcome(engine, query, "lctc", eta=10, kernel="csr")
-            via_dict = outcome(engine, query, "lctc", eta=10, kernel="dict")
-            assert via_csr == via_dict
+            via_engine = outcome(engine, query, "lctc", eta=10)
+            via_reference = outcome(reference, query, "lctc", eta=10)
+            assert via_engine == via_reference
 
 
 class TestBulkDeleteKnobs:
@@ -174,11 +175,12 @@ class TestKernelDetails:
         assert exhausted.contains_query()
 
     def test_unknown_kernel_rejected(self):
+        """The input type picks the path; there is no ``kernel`` argument."""
         engine = CTCEngine(complete_graph(4))
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(TypeError):
             search(engine, [0], method="lctc", kernel="simd")
+        with pytest.raises(TypeError):
+            engine.query([0], method="lctc", kernel="dict")
 
     def test_kernel_of_dispatch_seam(self):
         graph = complete_graph(5)
@@ -196,8 +198,8 @@ class TestKernelDetails:
             via_snapshot = search(snapshot, [0, 1], method=method)
             direct = search(graph, [0, 1], method=method)
             assert via_snapshot.nodes == direct.nodes
-        # Baselines read snapshot.graph directly; no dict index is forced.
-        assert not snapshot.has_index()
+        # Baselines read the snapshot's graph, thawed from its arrays.
+        assert snapshot._graph is not None
 
     def test_array_peel_forced_through_search_matches_dict_index(self, monkeypatch):
         """With the array threshold floored, every snapshot search peels on

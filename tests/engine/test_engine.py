@@ -9,11 +9,20 @@ from repro.engine import CTCEngine
 from repro.exceptions import EdgeNotFoundError, GraphError, StaleMaintainerError
 from repro.graph.delta import GraphDelta
 from repro.graph.generators import complete_graph, erdos_renyi_graph
+from repro.trusses.index import TrussIndex
 
 
 @pytest.fixture
 def engine():
     return CTCEngine(erdos_renyi_graph(40, 0.2, seed=11))
+
+
+def edge_trussness(snapshot) -> dict:
+    """The snapshot's per-edge trussness, keyed like the dict path's."""
+    return {
+        snapshot.csr.edge_key_of(edge): int(snapshot.trussness[edge])
+        for edge in range(snapshot.csr.number_of_edges())
+    }
 
 
 class TestCaching:
@@ -200,8 +209,8 @@ class TestDeltaPipeline:
         oracle = CTCEngine(engine.graph, delta_threshold=0).snapshot()
         assert engine.stats.delta_applies == 1
         assert patched.graph == oracle.graph
-        assert patched.index.all_edge_trussness() == oracle.index.all_edge_trussness()
-        assert patched.index.all_vertex_trussness() == oracle.index.all_vertex_trussness()
+        assert edge_trussness(patched) == edge_trussness(oracle)
+        assert edge_trussness(patched) == TrussIndex(engine.graph.copy()).all_edge_trussness()
 
     def test_mutations_are_logged_as_deltas(self, engine):
         engine.add_edge(800, 801)
@@ -250,55 +259,41 @@ class TestHookAtomicity:
 
 
 class TestLazyIndex:
+    """Snapshots hold arrays; the dict form is thawed only when asked for."""
+
     def test_snapshot_builds_without_dict_index(self, engine):
-        """_build_full must not pay the O(m) edge-trussness dict build."""
+        """_build_full keeps no dict-form copy of the store."""
         snapshot = engine.snapshot()
-        assert not snapshot.has_index()
+        assert snapshot._graph is None
 
     def test_kernel_queries_keep_index_lazy(self, engine):
         engine.query([0, 1], method="lctc", eta=20)
         engine.query([2, 3], method="bulk-delete")
-        assert not engine.snapshot().has_index()
+        assert engine.snapshot()._graph is None
 
     def test_dict_path_access_builds_and_caches(self, engine):
         snapshot = engine.snapshot()
-        index = snapshot.index
-        assert snapshot.has_index()
-        assert snapshot.index is index  # memoized, not rebuilt
-        oracle = CTCEngine(engine.graph, delta_threshold=0).snapshot()
-        assert index.all_edge_trussness() == oracle.index.all_edge_trussness()
-        assert index.all_vertex_trussness() == oracle.index.all_vertex_trussness()
-
-    def test_dict_kernel_queries_build_index(self, engine):
-        engine.query([0, 1], method="lctc", eta=20, kernel="dict")
-        assert engine.snapshot().has_index()
+        graph = snapshot.graph
+        assert snapshot.graph is graph  # memoized, not thawed again
+        assert graph == engine.graph
+        assert graph is not engine.graph
 
     def test_delta_path_stays_lazy_when_base_unbuilt(self, engine):
         engine.snapshot()
         engine.add_edge(990, 991)
         patched = engine.snapshot()
         assert engine.stats.delta_applies == 1
-        assert not patched.has_index()
-
-    def test_delta_path_patches_index_when_base_built(self, engine):
-        base = engine.snapshot()
-        _ = base.index  # dict-path consumer warmed the base index
-        engine.add_edge(990, 991)
-        patched = engine.snapshot()
-        assert engine.stats.delta_applies == 1
-        assert patched.has_index()
-        oracle = CTCEngine(engine.graph, delta_threshold=0).snapshot()
-        assert patched.index.all_edge_trussness() == oracle.index.all_edge_trussness()
+        assert patched._graph is None
 
     def test_cancelling_delta_shares_built_structures(self, engine):
         first = engine.snapshot()
-        index = first.index
+        graph = first.graph
         kernel = first.kernel
         edge = sorted(engine.graph.edges())[0]
         engine.remove_edge(*edge)
         engine.add_edge(*edge)
         second = engine.snapshot()
-        assert second._index is index
+        assert second._graph is graph
         assert second.kernel is kernel
 
     def test_kernel_is_memoized_per_snapshot(self, engine):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro.datasets.queries import WindowedChurnStream
 from repro.engine import CTCEngine, SlidingWindowEngine
@@ -82,6 +82,8 @@ def churn_setups(draw):
             draw(st.integers(min_value=2, max_value=3)), 4, 0.2, seed=seed
         )
     edges = sorted(population.edges(), key=repr)
+    # A stream needs at least one edge (sparse G(n, p) draws can have none).
+    assume(edges)
     window = draw(st.integers(min_value=1, max_value=max(1, len(edges))))
     steps = draw(st.integers(min_value=1, max_value=25))
     return edges, window, steps, seed

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.ctc.api import build_index, search
 from repro.engine import CTCEngine
 from repro.exceptions import VersionEvictedError
 from repro.graph.generators import complete_graph, erdos_renyi_graph, relaxed_caveman_graph
@@ -103,19 +104,21 @@ def _assert_snapshots_identical(snapshot, oracle, version: int) -> None:
 
 
 def _assert_queries_identical(engine: CTCEngine, state, version: int) -> None:
-    """Pinned queries equal fresh-engine queries, on both kernels."""
+    """Pinned queries equal fresh-engine and paper-reference queries."""
     edges = sorted(state.edges())
     if not edges:
         return
     query = list(edges[0])
+    pinned = engine.query(query, method="lctc", eta=30, at_version=version)
     fresh = CTCEngine(state, delta_threshold=0)
-    for kernel in ("csr", "dict"):
-        pinned = engine.query(query, method="lctc", eta=30, kernel=kernel, at_version=version)
-        direct = fresh.query(query, method="lctc", eta=30, kernel=kernel)
-        assert pinned.nodes == direct.nodes, (kernel, version)
-        assert pinned.trussness == direct.trussness, (kernel, version)
-        assert pinned.query_distance == direct.query_distance, (kernel, version)
-        assert pinned.iterations == direct.iterations, (kernel, version)
+    for label, direct in (
+        ("fresh engine", fresh.query(query, method="lctc", eta=30)),
+        ("reference", search(build_index(fresh.graph.copy()), query, "lctc", eta=30)),
+    ):
+        assert pinned.nodes == direct.nodes, (label, version)
+        assert pinned.trussness == direct.trussness, (label, version)
+        assert pinned.query_distance == direct.query_distance, (label, version)
+        assert pinned.iterations == direct.iterations, (label, version)
 
 
 class TestTimeTravelEquivalence:

@@ -71,10 +71,6 @@ class TestSearchCommand:
         with pytest.raises(SystemExit):
             main(["search", figure1_file, "--query", "q1", "--mutate-every", "2"])
 
-    def test_csr_kernel_requires_engine(self, figure1_file):
-        with pytest.raises(SystemExit):
-            main(["search", figure1_file, "--query", "q1", "--kernel", "csr"])
-
     def test_decomp_requires_engine(self, figure1_file):
         with pytest.raises(SystemExit):
             main(["search", figure1_file, "--query", "q1", "--decomp", "vector"])
@@ -101,24 +97,63 @@ class TestSearchCommand:
         )
 
     def test_engine_defaults_to_csr_kernel(self, figure1_file, capsys):
+        """--engine serves every repeat from one cached array snapshot."""
         exit_code = main(
             ["search", figure1_file, "--query", "q1", "q2", "--method", "lctc",
              "--eta", "50", "--engine", "--repeat", "3"]
         )
         assert exit_code == 0
-        assert "kernel:        csr" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "engine cache:  2 hits, 1 misses" in out
+        assert "kernel:" not in out
+
+    def test_kernel_flag_removed(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["search", "g.txt", "--query", "a", "--engine", "--kernel", "dict"]
+            )
 
     def test_dict_kernel_same_community(self, figure1_file, capsys):
+        """--engine (array kernels) prints the dict path's community."""
         main(["search", figure1_file, "--query", "q1", "q2", "q3", "--method", "lctc",
               "--eta", "50", "--engine"])
-        csr_out = capsys.readouterr().out
+        engine_out = capsys.readouterr().out
         main(["search", figure1_file, "--query", "q1", "q2", "q3", "--method", "lctc",
-              "--eta", "50", "--engine", "--kernel", "dict"])
+              "--eta", "50"])
         dict_out = capsys.readouterr().out
-        assert "kernel:        dict" in dict_out
-        assert csr_out.split("members:")[1].split("kernel:")[0] == (
-            dict_out.split("members:")[1].split("kernel:")[0]
+        assert engine_out.split("members:")[1].split("decomp:")[0] == (
+            dict_out.split("members:")[1]
         )
+
+    def test_unknown_query_node_is_a_clean_error(self, figure1_file, capsys):
+        exit_code = main(["search", figure1_file, "--query", "zz"])
+        captured = capsys.readouterr()
+        assert exit_code == 1
+        assert captured.err.startswith("error: ")
+        assert "zz" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_disconnected_query_is_a_clean_error(self, tmp_path, capsys):
+        path = tmp_path / "two_triangles.txt"
+        path.write_text("a b\nb c\na c\nx y\ny z\nx z\n")
+        exit_code = main(["search", str(path), "--query", "a", "x", "--engine"])
+        captured = capsys.readouterr()
+        assert exit_code == 1
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_configuration_error_is_a_clean_error(self, figure1_file, monkeypatch, capsys):
+        from repro import cli
+        from repro.exceptions import ConfigurationError
+
+        def misconfigured(*args, **kwargs):
+            raise ConfigurationError("unknown method 'x'")
+
+        monkeypatch.setattr(cli, "search", misconfigured)
+        exit_code = main(["search", figure1_file, "--query", "q1"])
+        assert exit_code == 1
+        assert capsys.readouterr().err == "error: unknown method 'x'\n"
 
     def test_at_version_requires_engine(self, figure1_file):
         with pytest.raises(SystemExit):
@@ -274,7 +309,7 @@ class TestSearchCommand:
         plain_out = capsys.readouterr().out
         main(base_args + ["--workers", "2", "--repeat", "4"])
         serving_out = capsys.readouterr().out
-        assert plain_out.split("members:")[1].split("kernel:")[0] == (
+        assert plain_out.split("members:")[1].split("decomp:")[0] == (
             serving_out.split("members:")[1].split("throughput:")[0]
         )
 
