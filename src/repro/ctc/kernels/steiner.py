@@ -3,11 +3,19 @@
 Array twin of :mod:`repro.ctc.steiner` (Definition 7 + the
 Kou–Markowsky–Berman 2-approximation).  The expensive part — the
 threshold-sweep BFS that computes exact truss distances — runs on the
-kernel's trussness-sorted rows with int ids; the KMB scaffolding (metric
-closure, Kruskal passes, leaf pruning) stays structurally identical to the
-dict path, including its ``repr``-keyed sort orders, because LCTC's
-downstream expansion is order-sensitive: same witness paths in, same
-community out.
+kernel's trussness-sorted rows with int ids, and does less work than the
+dict path's per-pair sweep while returning the same paths:
+
+* the metric closure runs one sweep per source terminal over all later
+  terminals — one BFS per level, not one per pair and level;
+* a level is skipped when it exceeds the source's vertex trussness, or
+  that of every still-open target: by Lemma 1 no path with that
+  bottleneck touches the node, so the BFS could only come back empty.
+
+The KMB scaffolding (metric closure, Kruskal passes, leaf pruning) stays
+structurally identical to the dict path, including its ``repr``-keyed sort
+orders, because LCTC's downstream expansion is order-sensitive: same
+witness paths in, same community out.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ _INF = float("inf")
 
 #: Snapshots with at least this many edges run the threshold-restricted
 #: witness-path BFS as an ordered masked frontier sweep; smaller ones keep
-#: the scalar queue.  The sweep's early exits (single target, tightening
+#: the scalar queue.  The sweep's early exits (few targets, tightening
 #: cutoff) keep visited sets tiny at bundled-dataset scale, where per-round
 #: numpy pass costs exceed the whole Python walk — the same regime split as
 #: the peel/decomposition/FindG0 autos, with the crossover pushed out to
@@ -129,6 +137,58 @@ def _restricted_bfs_paths(
     return found
 
 
+def _sweep_from(
+    kernel: QueryKernel, source: int, targets: list[int], gamma: float
+) -> dict[int, tuple[float, list[int] | None]]:
+    """Truss distance + witness id path from ``source`` to every target.
+
+    One threshold sweep over decreasing trussness levels serves all the
+    targets: each level runs at most one restricted BFS, toward the open
+    targets whose vertex trussness admits the level, bounded by the largest
+    of their cutoffs.  BFS parents at depth <= c do not depend on a larger
+    depth limit or target set, so each target keeps exactly the path — and,
+    through the strict ``<``, the higher-level tie-break — of a sweep run
+    for that target alone.  Unreached targets map to ``(inf, None)``.
+    """
+    vertex_tau = kernel.vertex_trussness
+    tau_bar = kernel.max_trussness
+    best: dict[int, tuple[float, list[int] | None]] = {
+        target: (_INF, None) for target in targets
+    }
+    open_targets = list(best)
+    for threshold in kernel.levels:
+        penalty = gamma * (tau_bar - threshold)
+        # Lower levels only raise the penalty: a target that cannot improve
+        # here never can again.
+        open_targets = [
+            target for target in open_targets
+            if best[target][1] is None or penalty + 1 < best[target][0]
+        ]
+        if not open_targets:
+            break
+        if threshold > vertex_tau[source]:
+            continue
+        cutoffs = {
+            target: best[target][0] - penalty  # inf until the target is reached
+            for target in open_targets
+            if threshold <= vertex_tau[target]
+        }
+        if not cutoffs:
+            continue
+        paths = _restricted_bfs_paths(
+            kernel, source, set(cutoffs), threshold, max(cutoffs.values())
+        )
+        for target, cutoff in cutoffs.items():
+            path = paths.get(target)
+            # Keep only what a BFS bounded by this target's own cutoff finds.
+            if path is None or len(path) - 1 > cutoff:
+                continue
+            value = (len(path) - 1) + penalty
+            if value < best[target][0]:
+                best[target] = (value, path)
+    return best
+
+
 def truss_distance_between(
     kernel: QueryKernel, source: int, target: int, gamma: float
 ) -> tuple[float, list[int] | None]:
@@ -140,23 +200,7 @@ def truss_distance_between(
     """
     if source == target:
         return 0.0, [source]
-    tau_bar = kernel.max_trussness
-    best_value = _INF
-    best_path: list[int] | None = None
-    for threshold in kernel.levels:
-        penalty = gamma * (tau_bar - threshold)
-        if best_path is not None and penalty + 1 >= best_value:
-            break
-        cutoff = best_value - penalty if best_value < _INF else _INF
-        paths = _restricted_bfs_paths(kernel, source, {target}, threshold, cutoff)
-        path = paths.get(target)
-        if path is None:
-            continue
-        value = (len(path) - 1) + penalty
-        if value < best_value:
-            best_value = value
-            best_path = path
-    return best_value, best_path
+    return _sweep_from(kernel, source, [target], gamma)[target]
 
 
 def _edge_repr(kernel: QueryKernel, u: int, v: int) -> str:
@@ -186,9 +230,9 @@ def build_truss_steiner_tree(
 
     # Metric closure: truss distance + witness path for every terminal pair.
     closure: dict[tuple[int, int], tuple[float, list[int], str]] = {}
-    for position, source in enumerate(terminals):
-        for target in terminals[position + 1:]:
-            value, path = truss_distance_between(kernel, source, target, gamma)
+    for position, source in enumerate(terminals[:-1]):
+        swept = _sweep_from(kernel, source, terminals[position + 1:], gamma)
+        for target, (value, path) in swept.items():
             if path is not None:
                 closure[(source, target)] = (value, path, _edge_repr(kernel, source, target))
 

@@ -13,6 +13,8 @@ maintenance to query execution.)
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -24,6 +26,7 @@ from repro.engine import CTCEngine
 from repro.exceptions import NoCommunityFoundError, QueryError
 from repro.graph.generators import (
     complete_graph,
+    connect_components,
     erdos_renyi_graph,
     relaxed_caveman_graph,
 )
@@ -440,3 +443,121 @@ class TestPeelEngineEquivalence:
                 assert reused.nodes == fresh.nodes
                 assert reused.trussness == fresh.trussness
                 assert outcome(snapshot, query, "lctc", eta=eta) == via_dict
+
+
+@st.composite
+def layered_graphs_and_queries(draw):
+    """Graphs whose terminals sit below the top trussness levels, plus one query.
+
+    A connected caveman body is bridged to a denser clique (the top levels),
+    pendant nodes hang off random nodes (vertex trussness 2), and a triangle
+    sits in a component of its own.  The query has 2-8 nodes; when
+    ``detached`` is drawn, its last node is in the triangle.
+    """
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    graph = relaxed_caveman_graph(
+        draw(st.integers(min_value=2, max_value=3)),
+        draw(st.integers(min_value=3, max_value=5)),
+        draw(st.floats(min_value=0.0, max_value=0.3)),
+        seed=seed,
+    )
+    connect_components(graph, random.Random(seed))
+    body = sorted(graph.nodes())
+    for u, v in complete_graph(draw(st.integers(min_value=5, max_value=8)), offset=100).edges():
+        graph.add_edge(u, v)
+    graph.add_edge(draw(st.sampled_from(body)), 100)
+    for pendant in range(draw(st.integers(min_value=1, max_value=4))):
+        anchor = draw(st.sampled_from(sorted(graph.nodes(), key=repr)))
+        graph.add_edge(f"p{pendant}", anchor)
+    for u, v in (("x0", "x1"), ("x1", "x2"), ("x0", "x2")):
+        graph.add_edge(u, v)
+    connected = sorted((node for node in graph.nodes() if node not in {"x0", "x1", "x2"}), key=repr)
+    query = draw(
+        st.lists(st.sampled_from(connected), min_size=2, max_size=8, unique=True)
+    )
+    detached = draw(st.booleans())
+    if detached:
+        query[-1] = "x0"
+    return graph, query, draw(st.sampled_from([0.0, 0.3, 3.0])), detached
+
+
+class TestSteinerSweepPruning:
+    """The per-source, Lemma-1-pruned threshold sweep of the array Steiner
+    kernel returns what the dict path's per-pair full sweep returns."""
+
+    @common_settings
+    @given(data=layered_graphs_and_queries())
+    def test_pruned_sweep_matches_dict_path(self, data):
+        import repro.ctc.kernels.steiner as steiner_mod
+        from repro.ctc import steiner as dict_steiner
+
+        graph, query, gamma, detached = data
+        index = TrussIndex(graph)
+        snapshot = CTCEngine(graph).snapshot()
+        kernel = snapshot.kernel
+        csr = kernel.csr
+        ids = [csr.node_id(node) for node in query]
+        for threshold in (10**9, 0):  # scalar queue, then ordered masked BFS
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(steiner_mod, "MASKED_SWEEP_THRESHOLD", threshold)
+                for position, source in enumerate(query):
+                    for target in query[position + 1:]:
+                        value, path = steiner_mod.truss_distance_between(
+                            kernel, csr.node_id(source), csr.node_id(target), gamma
+                        )
+                        labels = None if path is None else [csr.node_label(n) for n in path]
+                        assert (value, labels) == dict_steiner.truss_distance_between(
+                            index, source, target, gamma
+                        ), (threshold, source, target)
+                try:
+                    expected = dict_steiner.build_truss_steiner_tree(index, query, gamma)
+                except QueryError:
+                    assert detached
+                    with pytest.raises(QueryError):
+                        steiner_mod.build_truss_steiner_tree(kernel, ids, gamma)
+                else:
+                    nodes, edges = steiner_mod.build_truss_steiner_tree(kernel, ids, gamma)
+                    assert {csr.node_label(n) for n in nodes} == set(expected.nodes())
+                    assert {
+                        frozenset((csr.node_label(kernel.edge_u[e]), csr.node_label(kernel.edge_v[e])))
+                        for e in edges
+                    } == {frozenset(edge) for edge in expected.edges()}
+                actual = outcome(snapshot, query, "lctc", eta=12, gamma=gamma)
+                assert actual == outcome(index, query, "lctc", eta=12, gamma=gamma)
+                if detached:
+                    assert actual[0] == "QueryError"
+
+    def test_sweep_runs_one_bfs_per_source_and_admissible_level(self, monkeypatch):
+        """Work bound, no wall clock: every restricted BFS runs at a level
+        within the vertex trussness of its source and of each target it
+        seeks, and no source sweeps one level twice."""
+        import repro.ctc.kernels.steiner as steiner_mod
+
+        graph = relaxed_caveman_graph(3, 5, 0.2, seed=4)
+        for u, v in complete_graph(7, offset=100).edges():
+            graph.add_edge(u, v)
+        graph.add_edge(0, 100)
+        graph.add_edge("p0", 3)
+        graph.add_edge("p1", 101)
+        query = ["p0", "p1", 1, 6, 11, 100, 104, 13]
+        kernel = CTCEngine(graph).snapshot().kernel
+        vertex_tau = kernel.vertex_trussness
+        assert len(set(vertex_tau)) >= 3  # terminals below the top level exist
+        ids = [kernel.csr.node_id(node) for node in query]
+
+        calls = []
+        original = steiner_mod._restricted_bfs_paths
+
+        def recorder(kernel, source, targets, threshold, cutoff):
+            calls.append((source, frozenset(targets), threshold))
+            return original(kernel, source, targets, threshold, cutoff)
+
+        monkeypatch.setattr(steiner_mod, "_restricted_bfs_paths", recorder)
+        nodes, edges = steiner_mod.build_truss_steiner_tree(kernel, ids, gamma=3.0)
+        assert set(ids) <= nodes and edges
+        assert calls
+        for source, targets, threshold in calls:
+            assert threshold <= vertex_tau[source], (source, threshold)
+            assert all(threshold <= vertex_tau[target] for target in targets)
+        sweeps = [(source, threshold) for source, _targets, threshold in calls]
+        assert len(sweeps) == len(set(sweeps))
