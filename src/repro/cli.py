@@ -41,7 +41,8 @@ level-synchronous vector peel or the sequential bucket queue; trussness is
 bit-identical either way).  ``--workers N`` serves the ``--repeat`` loop
 through the concurrent :class:`~repro.engine.ServingEngine` front-end in
 batches (one pinned snapshot per batch); ``--serving-mode`` picks the
-thread-pool (default) or the shard-per-process back end.
+in-order thread back end (default) or the shard-per-process back end,
+which also caps its shard count at ``N``.
 ``--query-timeout S`` puts a per-query deadline on every served query:
 an overdue query fails with a typed timeout instead of stalling its
 batch (the serving layer's fault-tolerance machinery — crashed shard
@@ -202,8 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "serve the --repeat loop through the concurrent ServingEngine "
-            "front-end with N workers, batching queries against one pinned "
-            "snapshot per batch (requires --engine; 0 disables)"
+            "front-end, batching queries against one pinned snapshot per "
+            "batch; N sizes the batches (unless --mutate-every does) and, in "
+            "process mode, caps the shard worker count (requires --engine; "
+            "0 disables)"
         ),
     )
     search_parser.add_argument(
@@ -211,10 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("thread", "process"),
         default=None,
         help=(
-            "ServingEngine back end with --workers: 'thread' (default) shares "
-            "one engine behind a thread pool, 'process' shards the store by "
-            "connected component across worker processes mapping shared-memory "
-            "snapshot buffers"
+            "ServingEngine back end with --workers: 'thread' (default) answers "
+            "each batch in order on one shared engine, 'process' shards the "
+            "store by connected component across worker processes mapping "
+            "shared-memory snapshot buffers"
         ),
     )
     search_parser.add_argument(

@@ -25,8 +25,9 @@ shard 0).
   the deadline path.
 * :meth:`poison_query` — the worker exits mid-batch *without* replying
   (``os._exit``), simulating a query that takes its executor down; thread
-  mode (where a pool thread cannot vanish) raises a ``RuntimeError``
-  instead, exercising the per-query error slot.
+  mode (which runs queries on the caller's thread, so nothing can vanish)
+  puts a ``RuntimeError`` in each query's slot instead, exercising the
+  per-query error slot.
 * :meth:`fail_attach` — the next ``times`` (re)spawns of that shard's
   worker abort before attaching the shared-memory bundle, simulating an
   shm attach failure; with ``times >= max_respawns`` this drives the

@@ -4,14 +4,16 @@ The engine core is an MVCC design — immutable version-keyed snapshots over
 a delta log — but by itself it serves one query at a time.  This module
 adds the serving layer the ROADMAP's "millions of users" track calls for:
 
-* **Thread mode** (``mode="thread"``): one shared :class:`CTCEngine`
-  behind a thread pool.  :meth:`ServingEngine.query_batch` takes a single
-  epoch-pinned :class:`~repro.engine.core.SnapshotLease`, warms the
-  snapshot's lazy kernel once, and fans the batch out across the pool —
-  so ``B`` concurrently-arriving queries pay **one** snapshot resolution
-  (delta apply or rebuild) and **one** kernel setup instead of ``B``.
-  The writer keeps mutating underneath; the lease guarantees every query
-  in the batch reads one consistent version.
+* **Thread mode** (``mode="thread"``): one shared :class:`CTCEngine`.
+  :meth:`ServingEngine.query_batch` takes a single epoch-pinned
+  :class:`~repro.engine.core.SnapshotLease` and answers the batch in
+  order on it — so ``B`` concurrently-arriving queries pay **one**
+  snapshot resolution (delta apply or rebuild) and **one** kernel setup
+  instead of ``B``.  The CTC kernels are CPU-bound Python/numpy code that
+  threads cannot run in parallel under the GIL, so the lease is the whole
+  win and thread mode ignores ``workers``.  The writer keeps mutating
+  underneath; the lease guarantees every query in the batch reads one
+  consistent version.
 * **Process mode** (``mode="process"``): the store is sharded by connected
   component (:func:`~repro.graph.components.balanced_shards`; nodes first
   seen on a new edge fall back to a stable hash of the canonical edge
@@ -55,13 +57,16 @@ than hung on.  Recovery is a supervision state machine per shard:
    shards keep serving.  Graceful degradation, not a poisoned engine.
 
 **Deadlines**: ``query_batch(..., timeout=)`` takes a scalar or a
-per-query sequence of second budgets.  Thread mode bounds each future's
-``result()`` wait (and forwards the budget to the cooperative
-``time_budget_seconds`` machinery of the global methods); process mode
-bounds the reply poll.  An overdue query's slot becomes a
-:class:`~repro.exceptions.QueryTimeoutError` — the batch never stalls on
-one slow query, and an abandoned reply is discarded when it eventually
-arrives.  :meth:`aquery` carries the timeout into its coalesced groups.
+per-query sequence of second budgets.  Thread mode checks each query's
+deadline when its turn comes: an already-overdue query is not run, the
+global methods get the time left as their cooperative
+``time_budget_seconds``, and a query that returns after its deadline still
+counts as missed.  A query without a cooperative budget (e.g. LCTC) that
+overruns holds up the rest of its batch.  Process mode bounds the reply
+poll, so it returns at the deadline and discards the abandoned reply when
+it eventually arrives.  Either way an overdue query's slot becomes a
+:class:`~repro.exceptions.QueryTimeoutError`.  :meth:`aquery` carries the
+timeout into its coalesced groups.
 
 **Fault injection**: a seeded :class:`~repro.engine.faults.FaultPlan`
 passed as ``fault_plan=`` scripts kills, delayed replies, poisoned
@@ -105,8 +110,6 @@ import weakref
 import zlib
 from collections import defaultdict
 from collections.abc import Hashable, Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from functools import partial
 
@@ -482,8 +485,8 @@ class ServingEngine:
         the *frozen baseline* — mutations routed to workers afterwards are
         **not** written back to the data directory.
     workers:
-        Thread-pool width (thread mode) / maximum shard worker processes
-        (process mode; capped by the number of connected components).
+        Maximum shard worker processes in process mode (capped by the
+        number of connected components).  Thread mode ignores it.
     mode:
         ``"thread"`` (default) or ``"process"`` — see the module docstring.
     fault_plan:
@@ -560,9 +563,6 @@ class ServingEngine:
                     self._engine = source
                 else:
                     self._engine = CTCEngine(source, **engine_kwargs)
-                self._pool = ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="repro-serving"
-                )
                 self._last_version: int | None = None
             else:
                 self._start_process_workers(source)
@@ -849,10 +849,10 @@ class ServingEngine:
         return self._respawn(shard)
 
     def _dispatch(
-        self, shard: int, queries: list, method: str, kwargs: dict,
-        shard_budget: float | None,
+        self, shard: int, positions: list[int], batch: list, method: str,
+        kwargs: dict, budgets: list,
     ) -> int:
-        """Send one query batch to ``shard``; returns the reply rid.
+        """Send ``batch[positions]`` to ``shard``; returns the reply rid.
 
         Consumes the fault plan's directives for this dispatch slot (a
         scripted ``kill`` takes the worker down right here, before the
@@ -870,12 +870,14 @@ class ServingEngine:
                     proc.kill()
                     proc.join(timeout=_JOIN_TIMEOUT_SECONDS)
         send_kwargs = kwargs
+        member_budgets = [budgets[p] for p in positions if budgets[p] is not None]
         if (
-            shard_budget is not None
+            member_budgets
             and method in _BUDGETED_METHODS
             and "time_budget_seconds" not in kwargs
         ):
-            send_kwargs = dict(kwargs, time_budget_seconds=shard_budget)
+            send_kwargs = dict(kwargs, time_budget_seconds=min(member_budgets))
+        queries = [batch[p] for p in positions]
         rid = next(self._rid)
         try:
             self._conns[shard].send(
@@ -952,8 +954,6 @@ class ServingEngine:
             if member_deadlines and all(d is not None for d in member_deadlines)
             else None
         )
-        member_budgets = [budgets[p] for p in pending if budgets[p] is not None]
-        shard_budget = min(member_budgets) if member_budgets else None
         crashes = 0
         while True:
             if shard in self._quarantined:
@@ -973,11 +973,7 @@ class ServingEngine:
                     if not self._ensure_worker(shard):
                         continue  # quarantined: loop fills the error slots
                     rid = self._dispatch(
-                        shard,
-                        [batch[p] for p in pending],
-                        method,
-                        kwargs,
-                        shard_budget,
+                        shard, pending, batch, method, kwargs, budgets
                     )
                 replies, version = self._collect(shard, rid, deadline)
             except _DeadlineExpired:
@@ -1222,9 +1218,10 @@ class ServingEngine:
         applied to every query, or a sequence of per-query values (``None``
         entries exempt).  An overdue query's slot resolves to
         :class:`~repro.exceptions.QueryTimeoutError` (raised, unless
-        ``return_exceptions=True``) instead of stalling the batch; for the
-        global methods the budget also rides into the kernels' cooperative
-        ``time_budget_seconds`` machinery.  A query routed to a quarantined
+        ``return_exceptions=True``); for the global methods the deadline
+        also rides into the kernels' cooperative ``time_budget_seconds``
+        machinery (see the module docstring for how thread and process mode
+        differ).  A query routed to a quarantined
         shard resolves to :class:`~repro.exceptions.ShardUnavailableError`.
         """
         batch = [list(query) for query in queries]
@@ -1274,16 +1271,13 @@ class ServingEngine:
                     self.stats.snapshot_reuses += 1
                 self._last_version = lease.version
             snapshot = lease.snapshot
-            # Warm the lazy per-version kernel once, before the fan-out, so
-            # the workers never race to build it B times.
-            snapshot.kernel
             if not batch:
                 return []
 
             # Thread mode is "shard 0" in fault-plan coordinates.  A
             # scripted kill is meaningless here (there is no process to
             # kill) and is consumed as a no-op; poison fails every query in
-            # the batch; delay stalls each query's executor.
+            # the batch; delay stalls each query before it runs.
             delay = 0.0
             poison = False
             if self._fault_plan is not None:
@@ -1294,44 +1288,33 @@ class ServingEngine:
                 delay = directives.get("delay", 0.0)
                 poison = bool(directives.get("poison"))
 
-            def run(index, query):
-                if delay:
-                    time.sleep(delay)
-                if poison:
-                    return RuntimeError(
-                        "fault injection: query poisoned by the fault plan"
-                    )
-                call_kwargs = kwargs
-                if (
-                    budgets[index] is not None
-                    and method in _BUDGETED_METHODS
-                    and "time_budget_seconds" not in kwargs
-                ):
-                    call_kwargs = dict(kwargs, time_budget_seconds=budgets[index])
-                try:
-                    return search(snapshot, query, method=method, **call_kwargs)
-                except Exception as exc:
-                    return exc
-
-            futures = [
-                self._pool.submit(run, index, query)
-                for index, query in enumerate(batch)
-            ]
-            results = []
-            for index, future in enumerate(futures):
-                remaining = (
-                    None
-                    if deadlines[index] is None
-                    else max(0.0, deadlines[index] - time.monotonic())
-                )
-                try:
-                    results.append(future.result(timeout=remaining))
-                except FutureTimeoutError:
-                    future.cancel()
-                    slot = [None]
+            budgeted = (
+                method in _BUDGETED_METHODS and "time_budget_seconds" not in kwargs
+            )
+            results: list = [None] * len(batch)
+            for index, query in enumerate(batch):
+                deadline = deadlines[index]
+                # A query whose deadline passed before its turn is not run.
+                if deadline is None or time.monotonic() < deadline:
+                    if delay:
+                        time.sleep(delay)
+                    call_kwargs = kwargs
+                    if deadline is not None and budgeted:
+                        remaining = max(0.0, deadline - time.monotonic())
+                        call_kwargs = dict(kwargs, time_budget_seconds=remaining)
+                    try:
+                        if poison:
+                            raise RuntimeError(
+                                "fault injection: query poisoned by the fault plan"
+                            )
+                        results[index] = search(
+                            snapshot, query, method=method, **call_kwargs
+                        )
+                    except Exception as exc:
+                        results[index] = exc
+                if deadline is not None and time.monotonic() >= deadline:
                     with self._lock:
-                        self._fill_timeouts([0], [budgets[index]], slot)
-                    results.append(slot[0])
+                        self._fill_timeouts([index], budgets, results)
         if not return_exceptions:
             for result in results:
                 if isinstance(result, Exception):
@@ -1368,17 +1351,9 @@ class ServingEngine:
                     and proc.is_alive()
                 )
                 if healthy:
-                    member_budgets = [
-                        budgets[p] for p in positions if budgets[p] is not None
-                    ]
-                    shard_budget = min(member_budgets) if member_budgets else None
                     try:
                         rid = self._dispatch(
-                            shard,
-                            [batch[p] for p in positions],
-                            method,
-                            kwargs,
-                            shard_budget,
+                            shard, positions, batch, method, kwargs, budgets
                         )
                     except _WorkerCrashed:
                         self._mark_dead(shard)
@@ -1400,7 +1375,6 @@ class ServingEngine:
         nodes = list(dict.fromkeys(query))
         if not nodes:
             raise QueryError("the query node set must not be empty")
-        shards = set()
         missing = [node for node in nodes if node not in self._node_shard]
         if missing:
             raise QueryError(f"query nodes not present in the graph: {missing!r}")
@@ -1505,9 +1479,7 @@ class ServingEngine:
             return
         self._closed = True
         atexit.unregister(self.close)
-        if self._mode == "thread":
-            self._pool.shutdown(wait=True)
-        else:
+        if self._mode == "process":
             self._shutdown_process_workers()
             _unregister_signal_cleanup(self)
         if self._recovered is not None:

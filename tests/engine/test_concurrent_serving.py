@@ -9,7 +9,7 @@ Three contracts under test:
 * **Epoch-pinned reclamation** — the snapshot LRU defers eviction of
   leased versions: a lease keeps its version readable even after the
   delta log trims past it, and reclamation happens on release.
-* **Serving front-ends** — thread-pool batches, the asyncio facade, and
+* **Serving front-ends** — thread-mode lease batches, the asyncio facade, and
   shard-per-process workers all answer exactly like a plain engine, with
   the documented cross-shard refusals in process mode.
 """

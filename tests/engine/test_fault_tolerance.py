@@ -27,6 +27,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 
 import pytest
@@ -199,7 +200,7 @@ class TestDeadlines:
             )
             assert isinstance(slot, QueryTimeoutError)
             assert serving.stats.timeouts == 1
-            # Batch 1 carries no fault: the pool thread is free again.
+            # Batch 1 carries no fault, so it answers normally.
             assert serving.query(QUERY, timeout=30, **SEARCH).trussness >= 2
 
     def test_thread_mode_per_query_timeout_sequence(self):
@@ -214,6 +215,49 @@ class TestDeadlines:
             assert isinstance(bounded, QueryTimeoutError)
             assert bounded.timeout == pytest.approx(0.1)
             assert not isinstance(unbounded, Exception)  # waited out the delay
+
+    @pytest.fixture
+    def search_calls(self, monkeypatch):
+        """Record the kwargs of every ``repro.ctc.api.search`` call."""
+        import repro.ctc.api
+
+        real_search = repro.ctc.api.search
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return real_search(*args, **kwargs)
+
+        monkeypatch.setattr(repro.ctc.api, "search", spy)
+        return calls
+
+    def test_thread_mode_forwards_remaining_time_to_kernels(self, search_calls):
+        graph = erdos_renyi_graph(30, 0.25, seed=5)
+        plan = FaultPlan().delay_reply(0, 0, 0.3)
+        with ServingEngine(graph, workers=2, fault_plan=plan) as serving:
+            serving.query_batch([QUERY, QUERY], method="basic", timeout=[5, 5])
+        assert len(search_calls) == 2
+        # The second query starts after two scripted stalls, so its
+        # cooperative budget is the time left, not the full 5 s.
+        assert search_calls[1]["time_budget_seconds"] < 5 - 0.5
+
+    def test_thread_mode_skips_queries_past_their_deadline(self, search_calls):
+        graph = erdos_renyi_graph(30, 0.25, seed=5)
+        plan = FaultPlan().delay_reply(0, 0, 0.3)
+        with ServingEngine(graph, workers=2, fault_plan=plan) as serving:
+            slots = serving.query_batch(
+                [QUERY, QUERY], timeout=[0.1, 0.1], return_exceptions=True, **SEARCH
+            )
+            assert len(search_calls) == 1
+            assert all(isinstance(slot, QueryTimeoutError) for slot in slots)
+            assert serving.stats.timeouts == 2
+
+    def test_thread_mode_leaves_no_serving_threads_behind(self):
+        graph = erdos_renyi_graph(30, 0.25, seed=5)
+        with ServingEngine(graph, workers=4) as serving:
+            serving.query_batch([QUERY, QUERY, QUERY], **SEARCH)
+            names = [thread.name for thread in threading.enumerate()]
+            assert not [name for name in names if name.startswith("repro-serving")]
 
     def test_timeout_validation(self):
         graph = erdos_renyi_graph(20, 0.3, seed=2)
