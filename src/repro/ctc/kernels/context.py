@@ -332,8 +332,8 @@ class QueryKernel:
         Snapshots built by a vector-strategy full rebuild share the
         incidence the rebuild enumerated; a bare kernel (or a bucket-path
         snapshot) enumerates it here once, on first demand, and caches it —
-        the array peel engine needs it to restrict supports to working
-        subgraphs, and one enumeration amortizes over every query on the
+        the array peel engine masks it to count a working subgraph's
+        supports, and one enumeration amortizes over every query on the
         snapshot.
         """
         if self.incidence is None:

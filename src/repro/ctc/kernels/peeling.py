@@ -1,29 +1,42 @@
-"""The shared peel engine of Basic/BulkDelete, array-native on the snapshot.
+"""The shared peel engine of Basic/BulkDelete/LCTC, array-native on a kernel.
 
 This is the twin of :meth:`repro.ctc.basic.BasicCTC._peel` +
 :class:`~repro.trusses.maintenance.KTrussMaintainer`, and it ships **two**
-interchangeable engines behind one ``peel()`` entry point:
+interchangeable engines behind one ``peel()`` entry point.  Both run on the
+ids of the :class:`~repro.ctc.kernels.context.QueryKernel` they are given:
+Basic and BulkDelete peel on the snapshot kernel, LCTC on its expansion's
+local kernel.
 
-* the **array engine** (``engine="array"``, the default at or above
-  :data:`DEFAULT_ARRAY_THRESHOLD` working edges): the working subgraph is
-  *never materialized* — it lives as node-alive/edge-alive masks over the
-  :class:`~repro.ctc.kernels.context.QueryKernel`'s CSR plus a
-  :func:`~repro.graph.csr_triangles.subset_incidence` restriction of the
-  snapshot's triangle enumeration.  Per iteration, query distances come
-  from the masked frontier BFS of :mod:`repro.graph.csr_bfs` (one
-  multi-round scatter/gather pass per query node, fused with the
-  ``connect_G(Q)`` check), victims fall out of an argmax / threshold mask
-  over ``(distance, non-query, repr rank)`` arrays, and Algorithm 3's
-  cascade is the same
-  :class:`~repro.trusses.csr_decomposition.IncidencePeelState` scatter/scan
-  round machinery the level-synchronous full decomposition peels with —
-  dead-triangle flag dedup, one ``np.bincount`` support drop per round —
-  pinned at the community's fixed threshold ``k - 2``;
-* the **dict engine** (``engine="dict"``): the original int-keyed
-  adjacency-map implementation, retained as the small-subgraph fallback —
-  below a couple hundred edges the fixed cost of the numpy passes exceeds
-  the whole Python peel (the same crossover
-  :mod:`repro.trusses.csr_decomposition` measured for full rebuilds).
+* The **array engine** (``engine="array"``, the default at or above
+  :data:`DEFAULT_ARRAY_THRESHOLD` working edges) never materializes the
+  working subgraph.  It is one edge-alive and one node-alive mask over the
+  kernel's own CSR and triangle incidence; nothing is restricted, copied
+  or renumbered.
+
+  - *Supports* come from the mask: a triangle is alive iff its three
+    corners are, and one ``np.bincount`` over the alive triangles counts
+    every edge's support
+    (:class:`~repro.trusses.csr_decomposition.IncidencePeelState`).
+  - *Distances*: once per iteration the alive slots are compacted into a
+    live CSR view (one gather for the neighbours, one ``cumsum`` for the
+    row bounds).  The |Q| frontier BFSs of :mod:`repro.graph.csr_bfs` walk
+    that view with no mask; the first BFS doubles as the ``connect_G(Q)``
+    check.
+  - *Victims* fall out of an argmax / threshold mask over ``(distance,
+    non-query, repr rank)`` arrays.
+  - *Cascade*: Algorithm 3 is the incidence peel's scatter/scan round
+    (dead-triangle flag dedup, one ``np.bincount`` support drop per round)
+    pinned at the community's fixed threshold ``k - 2``, editing the same
+    edge mask the live view is built from.  At ``k <= 2`` every edge
+    already meets support ``>= 0``, so the cascade only removes the
+    victims' edges and builds no triangle or support state.
+
+* The **dict engine** (``engine="dict"``): the original int-keyed
+  adjacency-map implementation, which counts its own supports, retained as
+  the small-subgraph fallback — below a couple hundred edges the fixed
+  cost of the numpy passes exceeds the whole Python peel (the same
+  crossover :mod:`repro.trusses.csr_decomposition` measured for full
+  rebuilds).
 
 Both engines mirror the dict path's tie-breaks (``repr`` ranks instead of
 ``repr`` strings), so for the same starting truss all three peel the same
@@ -40,7 +53,6 @@ import numpy as np
 
 from repro.ctc.kernels.context import QueryKernel
 from repro.graph.csr_bfs import fold_query_distance, masked_bfs
-from repro.graph.csr_triangles import TriangleIncidence, subset_incidence
 from repro.trusses.csr_decomposition import IncidencePeelState
 
 __all__ = [
@@ -166,7 +178,7 @@ class _BulkDeleteSelector:
     :func:`_top_k_by_distance_rank` instead of a full sort.
     """
 
-    __slots__ = ("_rank", "_rank_array", "_offset", "_limit", "_best_seen")
+    __slots__ = ("_kernel", "_offset", "_limit", "_best_seen")
 
     def __init__(
         self,
@@ -176,8 +188,10 @@ class _BulkDeleteSelector:
         batch_limit: int | None,
     ) -> None:
         del query_ids  # Algorithm 4's bulk set does not exclude query nodes.
-        self._rank = kernel.repr_rank
-        self._rank_array = kernel.repr_rank_array
+        # The repr ranks are resolved only when batch_limit forces a
+        # tie-break: deriving them sorts every label by repr, which a fresh
+        # kernel (LCTC's local one) would otherwise pay on every query.
+        self._kernel = kernel
         self._offset = threshold_offset
         self._limit = batch_limit
         self._best_seen = _INF
@@ -197,9 +211,8 @@ class _BulkDeleteSelector:
         if self._limit is not None and len(victims) > self._limit:
             nodes = np.asarray(victims, dtype=np.int64)
             dist = np.asarray([distances[node] for node in victims], dtype=np.float64)
-            return set(
-                _top_k_by_distance_rank(nodes, dist, self._rank_array, self._limit).tolist()
-            )
+            rank_of = self._kernel.repr_rank_array
+            return set(_top_k_by_distance_rank(nodes, dist, rank_of, self._limit).tolist())
         return set(victims)
 
     def select_array(self, maxima: np.ndarray, alive_nodes: np.ndarray) -> np.ndarray:
@@ -218,7 +231,7 @@ class _BulkDeleteSelector:
         victims = alive_nodes[hit]
         if self._limit is not None and victims.size > self._limit:
             victims = _top_k_by_distance_rank(
-                victims, local[hit], self._rank_array, self._limit
+                victims, local[hit], self._kernel.repr_rank_array, self._limit
             )
         return victims
 
@@ -386,17 +399,10 @@ def _dict_peel(
     start_time: float,
     time_budget: float | None,
     max_iterations: int | None,
-    incidence: TriangleIncidence | None,
 ) -> PeelOutcome:
     """The original adjacency-map peel loop (small working subgraphs)."""
     adjacency = subgraph_adjacency(kernel, node_ids, edge_ids)
-    if incidence is not None:
-        # The caller's subset incidence already counted every triangle of the
-        # working subgraph; seed the support table from it instead of paying
-        # the per-edge keys-view intersections again.
-        supports = dict(zip(sorted(edge_ids), incidence.supports.tolist()))
-    else:
-        supports = _supports(adjacency)
+    supports = _supports(adjacency)
     alive_edges = set(edge_ids)
     best_nodes = set(node_ids)
     best_edges = set(edge_ids)
@@ -429,10 +435,8 @@ def _dict_peel(
 # ----------------------------------------------------------------------
 def _array_cascade(
     kernel: QueryKernel,
-    state: IncidencePeelState,
-    sub_edges: np.ndarray,
-    local_of_edge: np.ndarray,
-    edge_alive_full: np.ndarray,
+    state: IncidencePeelState | None,
+    edge_alive: np.ndarray,
     node_alive: np.ndarray,
     alive_degree: np.ndarray,
     victims: np.ndarray,
@@ -440,36 +444,40 @@ def _array_cascade(
 ) -> None:
     """Algorithm 3 on masks: delete ``victims``, restore the k-truss property.
 
-    The victims' still-alive incident edges seed the frontier; each round
-    kills the frontier (both the local alive flags the incidence peel reads
-    and the full-graph mask the BFS reads), drops the dead triangles'
-    surviving supports by one bincount, and promotes the edges that fell
-    strictly below ``k - 2`` — :meth:`IncidencePeelState.drop_frontier`
-    with the threshold pinned at ``k - 3``.  Newly isolated vertices die
-    with their last edge, mirroring the adjacency-map cleanup.
+    The victims' still-alive incident edges die first; each of their slots
+    in a victim's row costs the neighbour on the other side one alive
+    degree (a victim's own degree no longer matters).  With a ``state``
+    (``k > 2``) those edges then seed the frontier of the incidence
+    cascade: each round drops the dead triangles' surviving supports by
+    one bincount and promotes the edges that fell strictly below ``k - 2``
+    — :meth:`IncidencePeelState.drop_frontier` with the threshold pinned at
+    ``k - 3`` — and kills them in the one shared ``edge_alive`` mask the
+    BFS view also reads.  At ``k <= 2`` (``state is None``) no support can
+    fall below ``k - 2 = 0``, so removing the victims' edges is the whole
+    cascade.  Newly isolated vertices die with their last edge, mirroring
+    the adjacency-map cleanup.
     """
     csr = kernel.csr
     indptr = csr.indptr
+    num_nodes = node_alive.size
     starts = indptr[victims]
     counts = indptr[victims + 1] - starts
     total = int(counts.sum())
     if total:
         offsets = np.cumsum(counts) - counts
         gather = np.repeat(starts - offsets, counts) + np.arange(total, dtype=np.int64)
+        gather = gather[edge_alive[csr.slot_edge[gather]]]
         incident = csr.slot_edge[gather]
-        incident = incident[edge_alive_full[incident]]
-        frontier = state.dedup_edges(local_of_edge[incident])
-    else:
-        frontier = np.zeros(0, dtype=np.int64)
-
-    num_nodes = node_alive.size
-    while frontier.size:
-        state.edge_alive[frontier] = False
-        dead_parent = sub_edges[frontier]
-        edge_alive_full[dead_parent] = False
-        endpoints = np.concatenate([csr.edge_u[dead_parent], csr.edge_v[dead_parent]])
-        alive_degree -= np.bincount(endpoints, minlength=num_nodes)
-        frontier = state.drop_frontier(frontier, k - 3)
+        edge_alive[incident] = False
+        alive_degree -= np.bincount(csr.indices[gather], minlength=num_nodes)
+        if state is not None:
+            # An edge between two victims was gathered from both rows.
+            frontier = state.drop_frontier(state.dedup_edges(incident), k - 3)
+            while frontier.size:
+                edge_alive[frontier] = False
+                endpoints = np.concatenate([csr.edge_u[frontier], csr.edge_v[frontier]])
+                alive_degree -= np.bincount(endpoints, minlength=num_nodes)
+                frontier = state.drop_frontier(frontier, k - 3)
 
     node_alive[victims] = False
     # Adjacency-map cleanup twin: every vertex whose row emptied dies too.
@@ -486,30 +494,28 @@ def _array_peel(
     start_time: float,
     time_budget: float | None,
     max_iterations: int | None,
-    incidence: TriangleIncidence | None,
 ) -> PeelOutcome:
     """The masked peel loop: alive flags + incidence cascade + frontier BFS."""
     csr = kernel.csr
     num_nodes = csr.number_of_nodes()
-    num_edges = csr.number_of_edges()
-    sub_edges = np.sort(np.asarray(edge_ids, dtype=np.int64))
-    if incidence is None:
-        incidence = subset_incidence(kernel.ensure_incidence(), sub_edges)
-    state = IncidencePeelState(incidence)
-    local_of_edge = np.full(num_edges, -1, dtype=np.int64)
-    local_of_edge[sub_edges] = np.arange(sub_edges.size, dtype=np.int64)
-    edge_alive_full = np.zeros(num_edges, dtype=bool)
-    edge_alive_full[sub_edges] = True
+    edge_alive = np.zeros(csr.number_of_edges(), dtype=bool)
+    edge_alive[np.asarray(edge_ids, dtype=np.int64)] = True
+    # The kernel's own incidence, masked to the working subgraph; at k <= 2
+    # the cascade needs no triangle or support state at all.
+    state = IncidencePeelState(kernel.ensure_incidence(), edge_alive) if k > 2 else None
     node_alive = np.zeros(num_nodes, dtype=bool)
     node_alive[np.asarray(node_ids, dtype=np.int64)] = True
     alive_degree = np.bincount(
-        csr.edge_u[sub_edges], minlength=num_nodes
-    ) + np.bincount(csr.edge_v[sub_edges], minlength=num_nodes)
+        csr.edge_u[edge_alive], minlength=num_nodes
+    ) + np.bincount(csr.edge_v[edge_alive], minlength=num_nodes)
     query = np.asarray(query_ids, dtype=np.int64)
+    # live_indptr = slot_rank[csr.indptr]: slot_rank[s] counts the alive
+    # slots before slot s, so each row keeps its alive neighbours, in order.
+    slot_rank = np.zeros(csr.slot_edge.size + 1, dtype=np.int64)
 
     # Best-graph snapshots stay as arrays until the loop ends (alive_nodes
-    # and the boolean-index gather are both fresh arrays each iteration, so
-    # no copies are needed); one set conversion happens at return.
+    # and the nonzero scan are both fresh arrays each iteration, so no
+    # copies are needed); one set conversion happens at return.
     best_nodes_array: np.ndarray | None = None
     best_edges_array: np.ndarray | None = None
     best_distance = _INF
@@ -518,35 +524,30 @@ def _array_peel(
     maxima = np.zeros(num_nodes, dtype=np.float64)
 
     while bool(node_alive[query].all()):
+        # One live view of the working subgraph per iteration: the alive
+        # slots compacted into their own CSR, which every query node's BFS
+        # then walks unmasked.
+        slot_alive = edge_alive[csr.slot_edge]
+        np.cumsum(slot_alive, out=slot_rank[1:])
+        live_indptr = slot_rank[csr.indptr]
+        live_indices = csr.indices[slot_alive]
         # One BFS per query node; the first doubles as the connect_G(Q)
         # check (all remaining query nodes must be reachable from it), so
         # connectivity costs no extra traversal.
-        first = masked_bfs(
-            csr.indptr,
-            csr.indices,
-            query[:1],
-            slot_edge=csr.slot_edge,
-            edge_alive=edge_alive_full,
-        )
+        first = masked_bfs(live_indptr, live_indices, query[:1])
         if query.size > 1 and bool((first.distances[query[1:]] < 0).any()):
             break
         maxima[:] = 0.0
         fold_query_distance(maxima, first.distances)
         for source in query[1:]:
-            result = masked_bfs(
-                csr.indptr,
-                csr.indices,
-                source[None],
-                slot_edge=csr.slot_edge,
-                edge_alive=edge_alive_full,
-            )
+            result = masked_bfs(live_indptr, live_indices, source[None])
             fold_query_distance(maxima, result.distances)
         alive_nodes = np.nonzero(node_alive)[0]
         current_distance = float(maxima[alive_nodes].max()) if alive_nodes.size else 0.0
         if current_distance < best_distance:
             best_distance = current_distance
             best_nodes_array = alive_nodes
-            best_edges_array = sub_edges[state.edge_alive]
+            best_edges_array = np.nonzero(edge_alive)[0]
         if time_budget is not None and time.perf_counter() - start_time > time_budget:
             timed_out = True
             break
@@ -555,17 +556,7 @@ def _array_peel(
         victims = selector.select_array(maxima, alive_nodes)
         if victims.size == 0:
             break
-        _array_cascade(
-            kernel,
-            state,
-            sub_edges,
-            local_of_edge,
-            edge_alive_full,
-            node_alive,
-            alive_degree,
-            victims,
-            k,
-        )
+        _array_cascade(kernel, state, edge_alive, node_alive, alive_degree, victims, k)
         iterations += 1
     if best_nodes_array is None:
         best_nodes, best_edges = set(node_ids), set(edge_ids)
@@ -590,7 +581,6 @@ def peel(
     time_budget: float | None = None,
     max_iterations: int | None = None,
     engine: str = "auto",
-    incidence: TriangleIncidence | None = None,
 ) -> PeelOutcome:
     """Run the greedy peeling loop on an explicit starting truss.
 
@@ -598,18 +588,16 @@ def peel(
     selection, cascade — mirrors :meth:`BasicCTC._peel` statement for
     statement; ``engine`` picks the data representation (``"auto"``,
     ``"array"`` or ``"dict"``; see the module docstring), with identical
-    results either way.  ``incidence``, when given, must be the
-    :func:`~repro.graph.csr_triangles.subset_incidence` restriction to
-    ``sorted(edge_ids)``; callers that already restricted one (the LCTC
-    pipeline) thread it through so the peel never re-counts its starting
-    supports.
+    results either way.  Node and edge ids are ``kernel``'s own: the
+    global searches peel on the snapshot kernel, LCTC on its expansion's
+    local kernel.
     """
     if engine == "auto":
         engine = "array" if len(edge_ids) >= DEFAULT_ARRAY_THRESHOLD else "dict"
     if engine == "array":
         return _array_peel(
             kernel, node_ids, edge_ids, k, query_ids, select_victims,
-            start_time, time_budget, max_iterations, incidence,
+            start_time, time_budget, max_iterations,
         )
     if engine != "dict":
         raise ValueError(
@@ -617,5 +605,5 @@ def peel(
         )
     return _dict_peel(
         kernel, node_ids, edge_ids, k, query_ids, select_victims,
-        start_time, time_budget, max_iterations, incidence,
+        start_time, time_budget, max_iterations,
     )

@@ -40,6 +40,11 @@ from repro.trusses.csr_decomposition import (
 __all__ = ["basic_search", "bulk_delete_search", "lctc_search", "truss_search"]
 
 
+def _id_array(ids: set[int]) -> np.ndarray:
+    """An id set as an ``int64`` array (for gathers through origin maps)."""
+    return np.fromiter(ids, dtype=np.int64, count=len(ids))
+
+
 def _graph_from_ids(kernel: QueryKernel, node_ids, edge_ids) -> UndirectedGraph:
     """Materialize a community (id sets) back into a label-space graph.
 
@@ -218,53 +223,41 @@ def lctc_search(
         local_trussness = local_result.trussness
         local_incidence = local_result.incidence  # None from the bucket path
     local_kernel = QueryKernel(sub.csr, local_trussness, incidence=local_incidence)
-    node_origin = sub.node_origin.tolist()
-    edge_origin = sub.edge_origin.tolist()
-    local_id_of = {old: new for new, old in enumerate(node_origin)}
-    local_query = [local_id_of[node] for node in query_ids]
+    # sub.node_origin is sorted, and every query node is a tree node.
+    local_query = np.searchsorted(sub.node_origin, query_ids).tolist()
     try:
         local_nodes, local_edges, k = find_g0(local_kernel, local_query)
-        candidate_nodes = [node_origin[node] for node in local_nodes]
-        candidate_edges = [edge_origin[edge] for edge in local_edges]
     except NoCommunityFoundError:
         # The expansion could not connect Q inside any truss; fall back to
         # the expansion itself (trussness 2), as the dict path does.
-        candidate_nodes, candidate_edges = sorted(expanded_nodes), sorted(expanded_edges)
+        local_nodes = list(range(sub.csr.number_of_nodes()))
         local_edges = list(range(sub.csr.number_of_edges()))
         k = 2
     if max_trussness_k is not None and k > max_trussness_k:
         k = max_trussness_k
         try:
             local_nodes, local_edges = connected_truss_at_k(local_kernel, local_query, k)
-            candidate_nodes = [node_origin[node] for node in local_nodes]
-            candidate_edges = [edge_origin[edge] for edge in local_edges]
         except NoCommunityFoundError:
             pass  # keep the unrestricted candidate, as the dict path does
 
-    # Step 4: shrink with the conservative BulkDelete variant.  The local
-    # expansion already holds a triangle incidence of the candidate region;
-    # restrict *that* (a subset of a subset, all in expansion-local ids)
-    # and thread it through, so the peel never re-counts its starting
-    # supports from scratch.
-    candidate_incidence = None
-    if local_incidence is not None:
-        candidate_incidence = subset_incidence(
-            local_incidence, np.asarray(sorted(local_edges), dtype=np.int64)
-        )
+    # Step 4: shrink with the conservative BulkDelete variant, on the local
+    # kernel (its incidence, when the decomposition built one, is already
+    # the expansion's), then map the outcome back to snapshot ids.
     outcome = peel(
-        kernel,
-        candidate_nodes,
-        candidate_edges,
+        local_kernel,
+        local_nodes,
+        local_edges,
         k,
-        query_ids,
-        bulk_delete_selector(kernel, query_ids, threshold_offset=0),
+        local_query,
+        bulk_delete_selector(local_kernel, local_query, threshold_offset=0),
         start_time=start_time,
         engine=peel_engine,
-        incidence=candidate_incidence,
     )
+    community_nodes = sub.node_origin[_id_array(outcome.node_ids)]
+    community_edges = sub.edge_origin[_id_array(outcome.edge_ids)]
     elapsed = time.perf_counter() - start_time
     return CommunityResult(
-        graph=_graph_from_ids(kernel, outcome.node_ids, outcome.edge_ids),
+        graph=_graph_from_ids(kernel, community_nodes, community_edges),
         query=tuple(labels),
         trussness=k,
         method="lctc",

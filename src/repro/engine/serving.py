@@ -358,6 +358,7 @@ def _shard_worker(
     untrack: bool,
     replay_ops: Sequence[tuple] = (),
     fail_attach: bool = False,
+    parent_ends: Sequence = (),
 ) -> None:
     """Serve one shard from shared-memory snapshot buffers (worker main).
 
@@ -380,11 +381,18 @@ def _shard_worker(
 
     ``fail_attach=True`` (fault injection) aborts before the shm attach,
     simulating a worker that cannot map its snapshot buffers.
+
+    ``parent_ends`` are the parent-side pipe ends a forked worker inherited
+    (its own and its siblings'); they are closed first, so the worker's
+    ``conn`` sees EOF — and the worker exits — once the parent is gone,
+    even when the parent died by a signal without stopping its workers.
     """
     import gc
 
     from repro.ctc.api import search
 
+    for end in parent_ends:
+        end.close()
     if fail_attach:
         conn.close()
         os._exit(3)
@@ -668,6 +676,15 @@ class ServingEngine:
             and self._fault_plan.take_attach_failure(shard)
         )
         parent_conn, child_conn = self._context.Pipe()
+        forked = self._context.get_start_method() == "fork"
+        # A forked worker inherits every parent-side pipe end open now; it
+        # closes them so that no worker keeps another's pipe (or its own)
+        # open past the parent's death.  Spawned workers inherit none.
+        parent_ends = (
+            tuple(conn for conn in self._conns if conn is not None) + (parent_conn,)
+            if forked
+            else ()
+        )
         # Spawn-started workers run their own resource tracker and must
         # untrack; fork-started workers share the parent's.
         process = self._context.Process(
@@ -676,9 +693,10 @@ class ServingEngine:
                 child_conn,
                 self._bundles[shard].meta,
                 self._engine_kwargs,
-                self._context.get_start_method() != "fork",
+                not forked,
                 tuple(self._oplogs[shard]),
                 fail_attach,
+                parent_ends,
             ),
             daemon=True,
         )

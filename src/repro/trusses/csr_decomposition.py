@@ -160,11 +160,20 @@ class IncidencePeelState:
     (:mod:`repro.ctc.kernels.peeling`, threshold pinned at ``k - 3`` —
     "support strictly below ``k - 2``" — for the community's fixed ``k``).
 
+    ``edge_alive``, when given, selects a working subgraph of the
+    incidence's graph *in place*: the state adopts the mask itself (no
+    copy, so the caller and the peel share one flag array), a triangle is
+    alive iff all three of its corners are, and the supports are the
+    alive-triangle counts from one ``np.bincount``.  That is the same
+    starting state a restriction of the incidence to the selected edges
+    would give, without regrouping or renumbering anything.  Without a
+    mask every edge and triangle starts alive.
+
     Attributes
     ----------
     support:
-        Live per-edge support (a mutable copy of ``incidence.supports``),
-        decremented as triangles die.
+        Live per-edge support (alive triangles only), decremented as
+        triangles die.  Entries of dead edges are meaningless.
     edge_alive, triangle_alive:
         Boolean alive flags.  :meth:`drop_frontier` expects the caller to
         have flagged the frontier's edges dead already (the two peels
@@ -183,18 +192,31 @@ class IncidencePeelState:
         "_empty",
     )
 
-    def __init__(self, incidence: TriangleIncidence) -> None:
+    def __init__(
+        self, incidence: TriangleIncidence, edge_alive: np.ndarray | None = None
+    ) -> None:
         self.incidence = incidence
-        self.support = incidence.supports.copy()
-        self.edge_alive = np.ones(int(incidence.supports.size), dtype=bool)
-        self.triangle_alive = np.ones(incidence.num_triangles, dtype=bool)
+        num_edges = int(incidence.supports.size)
+        if edge_alive is None:
+            self.support = incidence.supports.copy()
+            self.edge_alive = np.ones(num_edges, dtype=bool)
+            self.triangle_alive = np.ones(incidence.num_triangles, dtype=bool)
+        else:
+            self.edge_alive = edge_alive
+            corners = incidence.edges
+            self.triangle_alive = (
+                edge_alive[corners[:, 0]] & edge_alive[corners[:, 1]] & edge_alive[corners[:, 2]]
+            )
+            self.support = np.bincount(
+                corners[self.triangle_alive].ravel(), minlength=num_edges
+            )
         self._inc_counts = np.diff(incidence.inc_indptr)
         # Scratch flags for sort-free dedup: scatter ids in, nonzero-scan the
         # (sorted) distinct ids out, reset only the touched entries.  np.unique
         # would sort each round's casualty list; the scan is linear and the
         # arrays are round-lifetime only.
         self._triangle_flag = np.zeros(incidence.num_triangles, dtype=bool)
-        self._edge_flag = np.zeros(int(incidence.supports.size), dtype=bool)
+        self._edge_flag = np.zeros(num_edges, dtype=bool)
         # One reusable iota covering the largest possible gather (every
         # incidence slot); rounds slice views off it instead of re-running
         # np.arange.

@@ -305,40 +305,145 @@ class TestPeelEngineEquivalence:
                 engine="simd",
             )
 
-    def test_threaded_incidence_changes_nothing(self):
-        """peel(incidence=...) (the FindG0/LCTC supports threading) is
-        invisible in the outcome, on both engines."""
+    def test_local_kernel_peel_matches_snapshot_peel(self):
+        """LCTC's step-4 contract: peeling a ``csr.edge_subgraph(G0)`` local
+        kernel gives, once ids are mapped back, exactly what peeling the
+        snapshot kernel gives — on both engines."""
         import time as time_module
-
-        from repro.ctc.kernels.find_g0 import find_g0
-        from repro.ctc.kernels.peeling import bulk_delete_selector, peel
-        from repro.graph.csr_triangles import subset_incidence
 
         import numpy as np
 
-        kernel = CTCEngine(erdos_renyi_graph(30, 0.35, seed=7)).snapshot().kernel
-        g0_nodes, g0_edges, k = find_g0(kernel, [0, 1])
-        threaded = subset_incidence(
-            kernel.ensure_incidence(), np.asarray(g0_edges, dtype=np.int64)
+        from repro.ctc.kernels.find_g0 import find_g0
+        from repro.ctc.kernels.peeling import (
+            basic_selector,
+            bulk_delete_selector,
+            peel,
         )
-        outcomes = []
-        for engine in ("dict", "array"):
-            for incidence in (None, threaded):
-                run = peel(
-                    kernel,
-                    g0_nodes,
-                    g0_edges,
-                    k,
-                    [0, 1],
-                    bulk_delete_selector(kernel, [0, 1]),
-                    start_time=time_module.perf_counter(),
-                    engine=engine,
-                    incidence=incidence,
+
+        selectors = (
+            lambda kernel, query: bulk_delete_selector(kernel, query),
+            lambda kernel, query: bulk_delete_selector(kernel, query, threshold_offset=0),
+            lambda kernel, query: bulk_delete_selector(kernel, query, batch_limit=2),
+            basic_selector,
+        )
+        for seed in (7, 11):
+            kernel = CTCEngine(erdos_renyi_graph(30, 0.35, seed=seed)).snapshot().kernel
+            for query in ([0, 1], [2, 9, 17]):
+                g0_nodes, g0_edges, k = find_g0(kernel, query)
+                sub = kernel.csr.edge_subgraph(
+                    sorted(g0_edges), include_node_ids=sorted(g0_nodes)
                 )
-                outcomes.append(
-                    (run.node_ids, run.edge_ids, run.query_distance, run.iterations)
-                )
-        assert all(entry == outcomes[0] for entry in outcomes[1:])
+                local_kernel = QueryKernel(sub.csr, kernel.trussness[sub.edge_origin])
+                local_nodes = np.searchsorted(sub.node_origin, g0_nodes).tolist()
+                local_edges = list(range(sub.csr.number_of_edges()))
+                local_query = np.searchsorted(sub.node_origin, query).tolist()
+                for make_selector in selectors:
+                    outcomes = []
+                    for engine in ("dict", "array"):
+                        on_snapshot = peel(
+                            kernel,
+                            g0_nodes,
+                            g0_edges,
+                            k,
+                            query,
+                            make_selector(kernel, query),
+                            start_time=time_module.perf_counter(),
+                            engine=engine,
+                        )
+                        on_local = peel(
+                            local_kernel,
+                            local_nodes,
+                            local_edges,
+                            k,
+                            local_query,
+                            make_selector(local_kernel, local_query),
+                            start_time=time_module.perf_counter(),
+                            engine=engine,
+                        )
+                        outcomes.append(
+                            (
+                                on_snapshot.node_ids,
+                                on_snapshot.edge_ids,
+                                on_snapshot.query_distance,
+                                on_snapshot.iterations,
+                            )
+                        )
+                        outcomes.append(
+                            (
+                                {int(sub.node_origin[node]) for node in on_local.node_ids},
+                                {int(sub.edge_origin[edge]) for edge in on_local.edge_ids},
+                                on_local.query_distance,
+                                on_local.iterations,
+                            )
+                        )
+                    assert all(entry == outcomes[0] for entry in outcomes[1:]), (seed, query)
+
+    def test_k2_triangle_free_array_peel_matches_dict(self, monkeypatch):
+        """At k = 2 (a triangle-free grid of >= 256 edges) the forced array
+        engine equals the dict engine, and builds no incidence peel state."""
+        import repro.ctc.kernels.peeling as peeling_mod
+        from repro.ctc.kernels.search import basic_search, bulk_delete_search
+        from repro.graph.simple_graph import UndirectedGraph
+
+        side = 12
+        grid = UndirectedGraph()
+        for row in range(side):
+            for col in range(side):
+                if col + 1 < side:
+                    grid.add_edge((row, col), (row, col + 1))
+                if row + 1 < side:
+                    grid.add_edge((row, col), (row + 1, col))
+        assert grid.number_of_edges() >= 256
+        kernel = CTCEngine(grid).snapshot().kernel
+
+        built = []
+        original_state = peeling_mod.IncidencePeelState
+
+        def recording_state(*args, **kwargs):
+            built.append(args)
+            return original_state(*args, **kwargs)
+
+        monkeypatch.setattr(peeling_mod, "IncidencePeelState", recording_state)
+        queries = ([(0, 0)], [(0, 0), (5, 5)], [(2, 3), (9, 1), (11, 11)])
+        runs = (
+            (basic_search, {}),
+            (bulk_delete_search, {}),
+            (bulk_delete_search, {"batch_limit": 3}),
+        )
+        for query in queries:
+            for function, kwargs in runs:
+                results = {}
+                for engine in ("dict", "array"):
+                    result = function(kernel, query, peel_engine=engine, **kwargs)
+                    assert result.trussness == 2
+                    results[engine] = (
+                        frozenset(result.nodes),
+                        frozenset(result.graph.edges()),
+                        result.query_distance,
+                        result.iterations,
+                    )
+                assert results["array"] == results["dict"], (function.__name__, query)
+        assert built == []
+
+    def test_bulk_delete_selector_defers_repr_ranks(self):
+        """Without a batch limit, BulkDelete selection never derives the
+        kernel's repr ranks (a sort of every label by repr)."""
+        import numpy as np
+
+        from repro.ctc.kernels.peeling import bulk_delete_selector
+
+        engine = CTCEngine(erdos_renyi_graph(20, 0.4, seed=2))
+        snapshot = engine.snapshot()
+        kernel = QueryKernel(snapshot.csr, snapshot.trussness)
+        selector = bulk_delete_selector(kernel, [0])
+        maxima = np.arange(kernel.csr.number_of_nodes(), dtype=np.float64)
+        alive = np.arange(kernel.csr.number_of_nodes(), dtype=np.int64)
+        assert selector.select_array(maxima, alive).size
+        assert selector.select_table({0: 0.0, 1: 2.0, 2: 2.0}) == {1, 2}
+        assert kernel._repr_rank is None
+        limited = bulk_delete_selector(kernel, [0], batch_limit=1)
+        assert limited.select_array(maxima, alive).size == 1
+        assert kernel._repr_rank is not None
 
     @common_settings
     @given(
@@ -561,3 +666,58 @@ class TestSteinerSweepPruning:
             assert all(threshold <= vertex_tau[target] for target in targets)
         sweeps = [(source, threshold) for source, _targets, threshold in calls]
         assert len(sweeps) == len(set(sweeps))
+
+
+class TestPeelWorkBound:
+    """Work bound, no wall clock: the peel runs on the kernel's own arrays."""
+
+    def test_peel_restricts_no_incidence_and_bfs_walks_the_live_view(self, monkeypatch):
+        """On the 1x dblp-like graph: BulkDelete restricts no incidence,
+        default-eta LCTC restricts exactly one (its local decomposition),
+        and every peel BFS runs on the live view with no edge mask."""
+        import sys
+
+        import repro.ctc.kernels.peeling as peeling_mod
+        import repro.graph.csr_triangles as triangles_mod
+        from repro.ctc.kernels.search import bulk_delete_search, lctc_search
+        from repro.ctc.local import DEFAULT_ETA, DEFAULT_GAMMA
+        from repro.datasets import load_dataset
+
+        restrictions = []
+        original_subset = triangles_mod.subset_incidence
+
+        def counting_subset(*args, **kwargs):
+            restrictions.append(args)
+            return original_subset(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("repro") and (
+                getattr(module, "subset_incidence", None) is original_subset
+            ):
+                monkeypatch.setattr(module, "subset_incidence", counting_subset)
+
+        bfs_masks = []
+        original_bfs = peeling_mod.masked_bfs
+
+        def recording_bfs(*args, **kwargs):
+            bfs_masks.append(kwargs.get("edge_alive"))
+            return original_bfs(*args, **kwargs)
+
+        monkeypatch.setattr(peeling_mod, "masked_bfs", recording_bfs)
+
+        graph = load_dataset("dblp-like").graph
+        kernel = CTCEngine(graph).snapshot().kernel
+        nodes = sorted(graph.nodes(), key=repr)
+        rng = random.Random(3)
+        queries = [[nodes[0]], rng.sample(nodes, 2), rng.sample(nodes, 3)]
+        for query in queries:
+            restrictions.clear()
+            result = bulk_delete_search(kernel, query)
+            assert result.contains_query()
+            assert restrictions == [], query
+            restrictions.clear()
+            result = lctc_search(kernel, query, eta=DEFAULT_ETA, gamma=DEFAULT_GAMMA)
+            assert result.contains_query()
+            assert len(restrictions) == 1, query
+        assert bfs_masks, "no query reached the array peel engine"
+        assert all(mask is None for mask in bfs_masks)

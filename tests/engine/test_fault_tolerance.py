@@ -477,6 +477,62 @@ class TestSignalCleanup:
                 proc.kill()
                 proc.wait(timeout=10)
 
+    def test_sigterm_leaves_no_orphaned_shard_workers(self):
+        """Workers of a SIGTERM-killed parent must exit, not outlive it.
+
+        Each forked worker must hold no parent-side pipe end (its own or a
+        sibling's), so the parent's death reaches every worker as EOF.
+        """
+        script = textwrap.dedent(
+            """
+            import time
+            from repro.engine import ServingEngine
+            from repro.graph.generators import erdos_renyi_graph
+            from repro.graph.simple_graph import UndirectedGraph
+
+            graph = UndirectedGraph()
+            for base in (0, 100):
+                for u, v in erdos_renyi_graph(15, 0.3, seed=4).edges():
+                    graph.add_edge(base + u, base + v)
+            serving = ServingEngine(graph, workers=2, mode="process")
+            pids = [str(process.pid) for process in serving._procs]
+            print("PIDS:" + ",".join(pids), flush=True)
+            time.sleep(60)  # the parent kills us long before this returns
+            """
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+        pids: list[int] = []
+        with proc:  # closes the stdout/stderr pipes on the way out
+            try:
+                line = proc.stdout.readline()
+                assert line.startswith("PIDS:"), (line, proc.stderr.read())
+                pids = [int(pid) for pid in line[len("PIDS:"):].strip().split(",")]
+                assert len(pids) == 2 and all(_process_running(pid) for pid in pids)
+                proc.send_signal(signal.SIGTERM)
+                assert proc.wait(timeout=30) == -signal.SIGTERM
+                deadline = time.monotonic() + 10
+                running = pids
+                while running and time.monotonic() < deadline:
+                    running = [pid for pid in pids if _process_running(pid)]
+                    time.sleep(0.1)
+                assert not running, f"shard workers outlived their parent: {running}"
+            finally:
+                if proc.poll() is None:  # pragma: no cover - cleanup on failure
+                    proc.kill()
+                    proc.wait(timeout=10)
+                for pid in pids:  # pragma: no cover - cleanup on failure
+                    if _process_running(pid):
+                        os.kill(pid, signal.SIGKILL)
+
     def test_sigterm_chains_to_application_handler(self):
         """Cleanup must forward the signal to a previously installed handler.
 
@@ -540,6 +596,24 @@ class TestSignalCleanup:
             if proc.poll() is None:  # pragma: no cover - cleanup on failure
                 proc.kill()
                 proc.wait(timeout=10)
+
+
+def _process_running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # pragma: no cover - pid reused by another user
+        return True
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            # The state field follows the parenthesized command name.
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except (FileNotFoundError, IndexError):
+        return False
+    except OSError:  # pragma: no cover - no procfs: trust the signal probe
+        return True
 
 
 class _FakeServingEngine:
