@@ -80,6 +80,7 @@ from repro.engine import (
     SlidingWindowEngine,
 )
 from repro.exceptions import (
+    CheckpointFormatError,
     ConfigurationError,
     NoCommunityFoundError,
     QueryError,
@@ -375,7 +376,7 @@ def _run_search(args: argparse.Namespace) -> int:
                     )
                 else:
                     target = CTCEngine.recover(durability, **engine_kwargs)
-            except (ConfigurationError, WalCorruptionError) as exc:
+            except (CheckpointFormatError, ConfigurationError, WalCorruptionError) as exc:
                 raise SystemExit(f"--recover failed: {exc}") from exc
         else:
             graph = read_edge_list(args.graph)

@@ -7,21 +7,26 @@ structures the kernels need, all built **lazily** and cached, so a snapshot
 that only ever serves, say, FindG0 queries never pays for the structures the
 Steiner kernel wants:
 
-* ``flat adjacency`` — the CSR rows re-exposed as plain Python lists
-  (``bounds`` / ``neighbors`` / ``edges``), because scalar indexing into
-  Python lists is several times faster than scalar indexing into ``numpy``
-  arrays on the BFS/peeling hot loops (the same trade
-  :mod:`repro.trusses.csr_decomposition` makes);
-* ``sorted adjacency`` — each row re-ordered by *decreasing edge trussness*
-  (ties by ``repr`` of the neighbour label), the array twin of
-  :class:`~repro.trusses.index.TrussIndex`'s per-node lists.  The parallel
-  ``sorted_neg_trussness`` list holds negated trussness values, so the
-  qualifying prefix for "incident edges with trussness >= k" is one
-  ``bisect_right`` on a flat list;
+* ``sorted arrays`` — each CSR row re-ordered by *decreasing edge
+  trussness* (ties by ``repr`` of the neighbour label), the array twin of
+  :class:`~repro.trusses.index.TrussIndex`'s per-node lists.  Together with
+  :meth:`QueryKernel.sorted_row_stops` the qualifying prefix for "incident
+  edges with trussness >= k" of a whole frontier is one ``searchsorted``;
+  the masked Steiner sweep and the LCTC expansion walk these arrays;
 * ``repr ranks`` — the position of every node in the ``repr``-sorted label
   order.  The dict-path algorithms break ties with ``repr(node)`` string
   comparisons; the kernels compare the precomputed integer ranks instead and
-  make identical choices.
+  make identical choices;
+* plain-list mirrors of the per-edge and per-slot arrays (``tau``,
+  ``edge_order_desc``, ``sorted_adjacency``) for the scalar loops that
+  only run on small kernels — FindG0's union-find sweep and the
+  small-snapshot Steiner BFS — where scalar indexing into Python lists
+  beats scalar indexing into ``numpy``.  Large kernels never build them.
+
+A snapshot built by a delta apply does not derive its kernel from scratch:
+:meth:`QueryKernel.carried` shares the parent kernel's label-only
+structures and re-sorts only the rows the delta touched (see its
+docstring), with results identical to a fresh kernel's.
 
 The tie-break mirroring is what buys the package its contract: for the same
 query, a kernel and its dict-path twin return **identical** communities
@@ -37,7 +42,7 @@ from collections.abc import Hashable, Sequence
 import numpy as np
 
 from repro.exceptions import QueryError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, CSRPatch, segment_slots
 from repro.graph.csr_triangles import TriangleIncidence
 
 __all__ = ["QueryKernel", "validate_query_ids"]
@@ -109,7 +114,6 @@ class QueryKernel:
         "trussness",
         "incidence",
         "_tau_list",
-        "_flat",
         "_sorted",
         "_sorted_np",
         "_sorted_keys",
@@ -119,8 +123,6 @@ class QueryKernel:
         "_levels",
         "_label_array",
         "_edge_order_desc",
-        "_edge_u_list",
-        "_edge_v_list",
         "_on_enumerate",
         "_lock",
     )
@@ -143,8 +145,7 @@ class QueryKernel:
                 f"({csr.number_of_edges()}), got shape {self.trussness.shape}"
             )
         self._tau_list: list[int] | None = None
-        self._flat: tuple[list[int], list[int], list[int]] | None = None
-        self._sorted: tuple[list[int], list[int], list[int], list[int]] | None = None
+        self._sorted: tuple[list[int], list[int], list[int]] | None = None
         self._sorted_np: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
         self._sorted_keys: np.ndarray | None = None
         self._repr_rank: list[int] | None = None
@@ -153,8 +154,6 @@ class QueryKernel:
         self._levels: list[int] | None = None
         self._label_array: np.ndarray | None = None
         self._edge_order_desc: list[int] | None = None
-        self._edge_u_list: list[int] | None = None
-        self._edge_v_list: list[int] | None = None
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -166,36 +165,6 @@ class QueryKernel:
         if self._tau_list is None:
             self._tau_list = self.trussness.tolist()
         return self._tau_list
-
-    @property
-    def edge_u(self) -> list[int]:
-        """Lower endpoint id of every edge, as a plain list."""
-        if self._edge_u_list is None:
-            self._edge_u_list = self.csr.edge_u.tolist()
-        return self._edge_u_list
-
-    @property
-    def edge_v(self) -> list[int]:
-        """Upper endpoint id of every edge, as a plain list."""
-        if self._edge_v_list is None:
-            self._edge_v_list = self.csr.edge_v.tolist()
-        return self._edge_v_list
-
-    @property
-    def flat(self) -> tuple[list[int], list[int], list[int]]:
-        """``(bounds, neighbors, edges)``: the raw CSR rows as Python lists.
-
-        Node ``i``'s neighbours occupy ``neighbors[bounds[i]:bounds[i+1]]``
-        (sorted by neighbour id), with the parallel ``edges`` list holding
-        the edge id of each slot.
-        """
-        if self._flat is None:
-            self._flat = (
-                self.csr.indptr.tolist(),
-                self.csr.indices.tolist(),
-                self.csr.slot_edge.tolist(),
-            )
-        return self._flat
 
     @property
     def repr_rank(self) -> list[int]:
@@ -226,62 +195,158 @@ class QueryKernel:
     def sorted_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(bounds, neighbors, edges, neg_trussness)``: trussness-sorted rows.
 
-        The ``numpy`` form of :attr:`sorted_adjacency` (same ordering, same
-        slots), which is what the masked frontier BFS of
-        :mod:`repro.graph.csr_bfs` traverses; combined with
-        :meth:`sorted_row_stops` the qualifying prefix for "trussness >= k"
-        needs no per-row bisect.
+        Each row is ordered by decreasing edge trussness, ties by the
+        neighbour's ``repr`` rank — exactly the order
+        :meth:`TrussIndex.incident_edges_at_least` yields.  This is what the
+        masked frontier BFS of :mod:`repro.graph.csr_bfs` and the LCTC
+        expansion traverse; combined with :meth:`sorted_row_stops` the
+        qualifying prefix for "trussness >= k" needs no per-row bisect.
         """
         if self._sorted_np is None:
             with self._lock:
                 if self._sorted_np is None:
                     csr = self.csr
-                    num_nodes = csr.number_of_nodes()
                     row_of_slot = np.repeat(
-                        np.arange(num_nodes, dtype=np.int64), np.diff(csr.indptr)
+                        np.arange(csr.number_of_nodes(), dtype=np.int64),
+                        np.diff(csr.indptr),
                     )
-                    neg_tau = -self.trussness[csr.slot_edge]
-                    rank = np.asarray(self.repr_rank, dtype=np.int64)[csr.indices]
-                    # One composite-key argsort instead of a three-key lexsort
-                    # (the keys are small non-negative ints, so the packed
-                    # value is exact and ~10x faster to sort); equivalent to
-                    # np.lexsort((rank, neg_tau, row_of_slot)).
-                    tau_span = self.max_trussness + 1
-                    if num_nodes * tau_span < 2**62 // max(num_nodes, 1):
-                        composite = (
-                            row_of_slot * tau_span + (neg_tau + self.max_trussness)
-                        ) * max(num_nodes, 1) + rank
-                        order = np.argsort(composite, kind="stable")
-                    else:  # packed key would overflow int64 (beyond ~1e9 slots)
-                        order = np.lexsort((rank, neg_tau, row_of_slot))
                     self._sorted_np = (
-                        csr.indptr,
-                        csr.indices[order],
-                        csr.slot_edge[order],
-                        neg_tau[order],
+                        csr.indptr, *self._sort_rows(row_of_slot, slice(None))
                     )
         return self._sorted_np
 
-    @property
-    def sorted_adjacency(self) -> tuple[list[int], list[int], list[int], list[int]]:
-        """``(bounds, neighbors, edges, neg_trussness)``: trussness-sorted rows.
+    def _sort_rows(
+        self, rows: np.ndarray, slots: np.ndarray | slice
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Order CSR ``slots`` (grouped by ascending ``rows``) for :attr:`sorted_arrays`.
 
-        Each row is ordered by decreasing edge trussness, ties by the
-        neighbour's ``repr`` rank — exactly the order
-        :meth:`TrussIndex.incident_edges_at_least` yields.  The qualifying
-        prefix for trussness >= k ends at
-        ``bisect_right(neg_trussness, -k, start, stop)``.  Plain-list form
-        of :attr:`sorted_arrays` for the scalar hot loops (the LCTC
-        expansion); both derive from one argsort.
+        Returns the ``(neighbors, edges, neg_trussness)`` of the slots
+        sorted by ``(row, -trussness, repr rank of the neighbour)``.
+        """
+        csr = self.csr
+        neighbors = csr.indices[slots]
+        edges = csr.slot_edge[slots]
+        neg_tau = -self.trussness[edges]
+        rank = self.repr_rank_array[neighbors]
+        num_nodes = max(csr.number_of_nodes(), 1)
+        # One composite-key argsort instead of a three-key lexsort (the keys
+        # are small non-negative ints, so the packed value is exact and ~10x
+        # faster to sort); equivalent to np.lexsort((rank, neg_tau, rows)).
+        tau_span = self.max_trussness + 1
+        if num_nodes * tau_span < 2**62 // num_nodes:
+            composite = (
+                rows * tau_span + (neg_tau + self.max_trussness)
+            ) * num_nodes + rank
+            order = np.argsort(composite, kind="stable")
+        else:  # packed key would overflow int64 (beyond ~1e9 slots)
+            order = np.lexsort((rank, neg_tau, rows))
+        return neighbors[order], edges[order], neg_tau[order]
+
+    def carried(
+        self,
+        patch: CSRPatch,
+        trussness: np.ndarray,
+        changed_edge_ids: np.ndarray,
+        *,
+        incidence: TriangleIncidence | None = None,
+        on_enumerate=None,
+    ) -> "QueryKernel":
+        """Return the kernel of ``patch.csr``, derived from this one.
+
+        ``patch`` must come from ``self.csr.apply_delta``; ``trussness`` and
+        ``changed_edge_ids`` are what
+        :func:`~repro.trusses.incremental.incremental_truss_update` returned
+        for it.  The result equals a fresh ``QueryKernel(patch.csr,
+        trussness, incidence)`` structure for structure; only the work
+        differs:
+
+        * the node set is unchanged (``patch.node_remap is None``), so the
+          label list is shared and so are ``repr_rank`` and ``label_array``;
+        * when this kernel built its trussness-sorted rows, they are
+          carried: a row keeps its order unless its adjacency changed or one
+          of its edges changed trussness, so every other row is copied with
+          its edge ids mapped old → new and only the touched rows are
+          re-sorted.  The row-stop keys follow from the carried arrays;
+        * everything else stays lazy and is derived on first use.
+
+        A delta that adds or removes nodes relabels the ids, so the result
+        is then a fresh, fully lazy kernel.
+        """
+        kernel = QueryKernel(patch.csr, trussness, incidence, on_enumerate=on_enumerate)
+        if patch.node_remap is not None:
+            return kernel
+        kernel._repr_rank = self._repr_rank
+        kernel._repr_rank_np = self._repr_rank_np
+        kernel._label_array = self._label_array
+        if self._sorted_np is not None:
+            kernel._carry_sorted(self, patch, changed_edge_ids)
+        return kernel
+
+    def _carry_sorted(
+        self, parent: "QueryKernel", patch: CSRPatch, changed_edge_ids: np.ndarray
+    ) -> None:
+        """Set :attr:`sorted_arrays` (and the row-stop keys) from ``parent``'s.
+
+        The touched rows — endpoints of changed, inserted and removed edges —
+        are re-sorted; the runs of rows between them are slice-copied, their
+        edge ids gathered through the old→new map.  The copy loop runs once
+        per touched row, and the truss update already spent Python work on
+        every edge behind a touched row, so it never dominates the build.
+        The parent's row-stop keys are carried the same way while the
+        maximum trussness (their stride) is unchanged.
+        """
+        csr, old_csr = self.csr, parent.csr
+        _bounds, old_neighbors, old_edges, old_neg_tau = parent._sorted_np
+        old_keys = parent._sorted_keys
+        if old_keys is not None and parent.max_trussness != self.max_trussness:
+            old_keys = None
+        rows = np.unique(np.concatenate([
+            csr.edge_u[changed_edge_ids],
+            csr.edge_v[changed_edge_ids],
+            old_csr.edge_u[patch.removed_edge_ids],
+            old_csr.edge_v[patch.removed_edge_ids],
+        ]))
+        neighbors = np.empty_like(csr.indices)
+        edges = np.empty_like(csr.slot_edge)
+        neg_tau = np.empty_like(csr.slot_edge)
+        keys = None if old_keys is None else np.empty_like(csr.slot_edge)
+        old_ptr, new_ptr = old_csr.indptr, csr.indptr
+        previous = 0
+        for row in [*rows.tolist(), csr.number_of_nodes()]:
+            # Rows [previous, row) are untouched: same content, shifted.
+            start, stop = int(old_ptr[previous]), int(old_ptr[row])
+            into = slice(int(new_ptr[previous]), int(new_ptr[previous]) + stop - start)
+            neighbors[into] = old_neighbors[start:stop]
+            neg_tau[into] = old_neg_tau[start:stop]
+            np.take(patch.new_of_old, old_edges[start:stop], out=edges[into])
+            if keys is not None:
+                keys[into] = old_keys[start:stop]
+            previous = row + 1
+
+        counts = new_ptr[rows + 1] - new_ptr[rows]
+        slots = segment_slots(new_ptr[rows], counts)
+        row_of_slot = np.repeat(rows, counts)
+        resorted = self._sort_rows(row_of_slot, slots)
+        neighbors[slots], edges[slots], neg_tau[slots] = resorted
+        self._sorted_np = (new_ptr, neighbors, edges, neg_tau)
+        if keys is not None:
+            keys[slots] = row_of_slot * (self.max_trussness + 1) + (
+                resorted[2] + self.max_trussness
+            )
+            self._sorted_keys = keys
+
+    @property
+    def sorted_adjacency(self) -> tuple[list[int], list[int], list[int]]:
+        """``(bounds, neighbors, neg_trussness)``: trussness-sorted rows.
+
+        Plain-list form of :attr:`sorted_arrays` (minus the edge ids, which
+        no scalar loop reads) for the small-snapshot Steiner BFS.  The
+        qualifying prefix for trussness >= k ends at
+        ``bisect_right(neg_trussness, -k, start, stop)``.
         """
         if self._sorted is None:
-            bounds, neighbors, edges, neg_tau = self.sorted_arrays
-            self._sorted = (
-                bounds.tolist(),
-                neighbors.tolist(),
-                edges.tolist(),
-                neg_tau.tolist(),
-            )
+            bounds, neighbors, _edges, neg_tau = self.sorted_arrays
+            self._sorted = (bounds.tolist(), neighbors.tolist(), neg_tau.tolist())
         return self._sorted
 
     def sorted_row_stops(self, threshold: int):
@@ -307,16 +372,7 @@ class QueryKernel:
         if self._sorted_keys is None:
             with self._lock:
                 if self._sorted_keys is None:
-                    csr = self.csr
-                    num_nodes = csr.number_of_nodes()
-                    row_of_slot = np.repeat(
-                        np.arange(num_nodes, dtype=np.int64), np.diff(csr.indptr)
-                    )
-                    neg_tau = self.sorted_arrays[3]
-                    self._sorted_keys = (
-                        row_of_slot * (self.max_trussness + 1)
-                        + (neg_tau + self.max_trussness)
-                    )
+                    self._sorted_keys = self._row_stop_keys()
         keys = self._sorted_keys
         span = self.max_trussness + 1
         offset = self.max_trussness - threshold
@@ -325,6 +381,16 @@ class QueryKernel:
             return np.searchsorted(keys, frontier * span + offset, side="right")
 
         return stops
+
+    def _row_stop_keys(self) -> np.ndarray:
+        """The composite ``(row, neg trussness)`` key of every sorted slot."""
+        csr = self.csr
+        row_of_slot = np.repeat(
+            np.arange(csr.number_of_nodes(), dtype=np.int64), np.diff(csr.indptr)
+        )
+        return row_of_slot * (self.max_trussness + 1) + (
+            self.sorted_arrays[3] + self.max_trussness
+        )
 
     def ensure_incidence(self) -> TriangleIncidence:
         """Return the snapshot's triangle incidence, enumerating it if absent.
@@ -351,17 +417,19 @@ class QueryKernel:
         """Trussness of every node: max over incident edges, 1 if isolated."""
         if self._vertex_tau is None:
             csr = self.csr
-            num_nodes = csr.number_of_nodes()
-            result = np.ones(num_nodes, dtype=np.int64)
-            degrees = np.diff(csr.indptr)
-            nonempty = degrees > 0
-            if csr.slot_edge.size:
+            result = np.ones(csr.number_of_nodes(), dtype=np.int64)
+            nonempty = np.diff(csr.indptr) > 0
+            starts = csr.indptr[:-1][nonempty]
+            if self._sorted_np is not None:
+                # A trussness-sorted row starts with its largest trussness.
+                result[nonempty] = -self._sorted_np[3][starts]
+            elif csr.slot_edge.size:
                 # Segmented max over each non-empty row; a reduceat segment
                 # between consecutive non-empty starts spans exactly that
                 # row's slots (intervening empty rows contribute none).
-                slot_tau = self.trussness[csr.slot_edge]
-                starts = csr.indptr[:-1][nonempty]
-                result[nonempty] = np.maximum.reduceat(slot_tau, starts)
+                result[nonempty] = np.maximum.reduceat(
+                    self.trussness[csr.slot_edge], starts
+                )
             self._vertex_tau = result.tolist()
         return self._vertex_tau
 
@@ -376,7 +444,7 @@ class QueryKernel:
     def levels(self) -> list[int]:
         """Distinct trussness levels present, in decreasing order."""
         if self._levels is None:
-            self._levels = np.unique(self.trussness)[::-1].tolist()
+            self._levels = np.nonzero(np.bincount(self.trussness))[0][::-1].tolist()
         return self._levels
 
     @property

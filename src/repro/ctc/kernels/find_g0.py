@@ -59,8 +59,8 @@ def _find_level_scalar(
     answer, without any fixed numpy pass costs.
     """
     tau = kernel.tau
-    edge_u = kernel.edge_u
-    edge_v = kernel.edge_v
+    edge_u = kernel.csr.edge_u.tolist()
+    edge_v = kernel.csr.edge_v.tolist()
     order = kernel.edge_order_desc
     parent = list(range(kernel.csr.number_of_nodes()))
     anchor = query_ids[0]

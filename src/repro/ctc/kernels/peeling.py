@@ -52,6 +52,7 @@ from collections import deque
 import numpy as np
 
 from repro.ctc.kernels.context import QueryKernel
+from repro.graph.csr import segment_slots
 from repro.graph.csr_bfs import fold_query_distance, masked_bfs
 from repro.trusses.csr_decomposition import IncidencePeelState
 
@@ -260,14 +261,21 @@ def bulk_delete_selector(
 # ----------------------------------------------------------------------
 # dict engine (the small-subgraph fallback)
 # ----------------------------------------------------------------------
+def _edge_ends(kernel: QueryKernel, edge_ids: list[int]) -> dict[int, tuple[int, int]]:
+    """``{edge id: (u, v)}`` for the listed edges, read off the snapshot arrays."""
+    csr = kernel.csr
+    edges = np.asarray(edge_ids, dtype=np.int64)
+    return dict(
+        zip(edges.tolist(), zip(csr.edge_u[edges].tolist(), csr.edge_v[edges].tolist()))
+    )
+
+
 def subgraph_adjacency(
-    kernel: QueryKernel, node_ids: list[int], edge_ids: list[int]
+    node_ids: list[int], ends: dict[int, tuple[int, int]]
 ) -> dict[int, dict[int, int]]:
     """Build ``{node: {neighbour: edge id}}`` maps for a subgraph."""
-    edge_u, edge_v = kernel.edge_u, kernel.edge_v
     adjacency: dict[int, dict[int, int]] = {node: {} for node in node_ids}
-    for edge in edge_ids:
-        u, v = edge_u[edge], edge_v[edge]
+    for edge, (u, v) in ends.items():
         adjacency[u][v] = edge
         adjacency[v][u] = edge
     return adjacency
@@ -336,7 +344,7 @@ def _query_connected(
 
 
 def _cascade_delete(
-    kernel: QueryKernel,
+    ends: dict[int, tuple[int, int]],
     adjacency: dict[int, dict[int, int]],
     supports: dict[int, int],
     alive_edges: set[int],
@@ -350,7 +358,6 @@ def _cascade_delete(
     k - 2, minus newly isolated vertices) is unique, so any processing
     order matches the dict path's result.
     """
-    edge_u, edge_v = kernel.edge_u, kernel.edge_v
     removal_queue: deque[int] = deque()
     queued: set[int] = set()
     present_victims = [node for node in victims if node in adjacency]
@@ -364,7 +371,7 @@ def _cascade_delete(
         edge = removal_queue.popleft()
         if edge not in alive_edges:
             continue
-        u, v = edge_u[edge], edge_v[edge]
+        u, v = ends[edge]
         row_u, row_v = adjacency[u], adjacency[v]
         smaller, larger = (row_u, row_v) if len(row_u) <= len(row_v) else (row_v, row_u)
         for w, first in smaller.items():
@@ -401,7 +408,8 @@ def _dict_peel(
     max_iterations: int | None,
 ) -> PeelOutcome:
     """The original adjacency-map peel loop (small working subgraphs)."""
-    adjacency = subgraph_adjacency(kernel, node_ids, edge_ids)
+    ends = _edge_ends(kernel, edge_ids)
+    adjacency = subgraph_adjacency(node_ids, ends)
     supports = _supports(adjacency)
     alive_edges = set(edge_ids)
     best_nodes = set(node_ids)
@@ -425,7 +433,7 @@ def _dict_peel(
         victims = selector.select_table(distances)
         if not victims:
             break
-        _cascade_delete(kernel, adjacency, supports, alive_edges, victims, k)
+        _cascade_delete(ends, adjacency, supports, alive_edges, victims, k)
         iterations += 1
     return PeelOutcome(best_nodes, best_edges, best_distance, iterations, timed_out)
 
@@ -464,8 +472,7 @@ def _array_cascade(
     counts = indptr[victims + 1] - starts
     total = int(counts.sum())
     if total:
-        offsets = np.cumsum(counts) - counts
-        gather = np.repeat(starts - offsets, counts) + np.arange(total, dtype=np.int64)
+        gather = segment_slots(starts, counts)
         gather = gather[edge_alive[csr.slot_edge[gather]]]
         incident = csr.slot_edge[gather]
         edge_alive[incident] = False

@@ -199,13 +199,11 @@ def lctc_search(
         k_t = min(k_t, max_trussness_k)
 
     # Step 2: expand the tree through edges of trussness >= k_t.
-    expanded_nodes, expanded_edges = expand(kernel, tree_nodes, tree_edges, k_t, eta)
+    expanded_nodes, expanded_edges = expand(kernel, tree_nodes, k_t, eta)
 
     # Step 3: decompose the (small) expansion on its own sub-snapshot and
     # extract the best connected truss containing Q, mapping ids back.
-    sub = kernel.csr.edge_subgraph(
-        sorted(expanded_edges), include_node_ids=sorted(expanded_nodes)
-    )
+    sub = kernel.csr.edge_subgraph(expanded_edges, include_node_ids=expanded_nodes)
     if (
         kernel.incidence is not None
         and sub.csr.number_of_edges() >= DEFAULT_VECTOR_THRESHOLD

@@ -24,6 +24,8 @@ import math
 from bisect import bisect_right
 from collections import deque
 
+import numpy as np
+
 from repro.ctc.kernels.context import QueryKernel
 from repro.exceptions import QueryError
 from repro.graph.components import UnionFind
@@ -57,7 +59,7 @@ def _scalar_bfs_paths(
     cutoff: float,
 ) -> dict[int, list[int]]:
     """The small-snapshot strategy: a scalar queue BFS over the sorted lists."""
-    bounds, neighbors, _edges, neg_tau = kernel.sorted_adjacency
+    bounds, neighbors, neg_tau = kernel.sorted_adjacency
     parents: dict[int, int] = {source: -1}
     depth: dict[int, int] = {source: 0}
     remaining = set(targets)
@@ -259,23 +261,27 @@ def build_truss_steiner_tree(
             expanded_edges.add(csr.edge_id(first, second))
 
     # Spanning tree of the expansion (weight = 1 + gamma * (tau_bar - tau)),
-    # then prune non-terminal leaves (final KMB step).
-    tau = kernel.tau
+    # then prune non-terminal leaves (final KMB step).  The handful of
+    # expanded edges read their endpoints and trussness off the arrays.
     tau_bar = kernel.max_trussness
-    edge_u, edge_v = kernel.edge_u, kernel.edge_v
+    edge_list = sorted(expanded_edges)
+    edge_ids = np.asarray(edge_list, dtype=np.int64)
+    ends = dict(zip(edge_list, zip(csr.edge_u[edge_ids].tolist(), csr.edge_v[edge_ids].tolist())))
+    tau = dict(zip(edge_list, kernel.trussness[edge_ids].tolist()))
     spanning_union = UnionFind(expanded_nodes)
     tree_edges: set[int] = set()
     for edge in sorted(
-        expanded_edges,
-        key=lambda e: (1.0 + gamma * (tau_bar - tau[e]), _edge_repr(kernel, edge_u[e], edge_v[e])),
+        edge_list,
+        key=lambda e: (1.0 + gamma * (tau_bar - tau[e]), _edge_repr(kernel, *ends[e])),
     ):
-        if spanning_union.union(edge_u[edge], edge_v[edge]):
+        if spanning_union.union(*ends[edge]):
             tree_edges.add(edge)
 
     tree_adjacency: dict[int, set[int]] = {node: set() for node in expanded_nodes}
     for edge in tree_edges:
-        tree_adjacency[edge_u[edge]].add(edge_v[edge])
-        tree_adjacency[edge_v[edge]].add(edge_u[edge])
+        u, v = ends[edge]
+        tree_adjacency[u].add(v)
+        tree_adjacency[v].add(u)
     terminal_set = set(terminals)
     leaves = deque(
         node for node, row in tree_adjacency.items()
@@ -306,5 +312,5 @@ def minimum_trussness_of_tree(
         if tree_nodes:
             return kernel.vertex_trussness[next(iter(tree_nodes))]
         return 2
-    tau = kernel.tau
-    return min(tau[edge] for edge in tree_edges)
+    edge_ids = np.fromiter(tree_edges, dtype=np.int64, count=len(tree_edges))
+    return int(kernel.trussness[edge_ids].min())

@@ -283,30 +283,39 @@ class EngineSnapshot:
                         self._supports = csr_edge_supports(self.csr)
         return self._supports
 
+    def _adopter(self):
+        """The ``on_enumerate`` callback a kernel of this snapshot reports to.
+
+        It calls back through a weak reference: a bound method would make
+        snapshot and kernel a cycle, so an evicted snapshot's arrays would
+        wait for the cyclic collector instead of being freed on eviction.
+        """
+        snapshot = weakref.ref(self)
+
+        def adopt(incidence: TriangleIncidence) -> None:
+            owner = snapshot()
+            if owner is not None:
+                owner._adopt_incidence(incidence)
+
+        return adopt
+
     @property
     def kernel(self) -> "QueryKernel":
-        """The CSR-native :class:`QueryKernel`, built lazily on first access."""
+        """The CSR-native :class:`QueryKernel`, built lazily on first access.
+
+        A delta-built snapshot whose base had a kernel already holds one,
+        carried from the base's (:meth:`QueryKernel.carried`).
+        """
         if self._kernel is None:
             with self._lazy_lock:
                 if self._kernel is None:
                     from repro.ctc.kernels import QueryKernel
 
-                    # The kernel calls back through a weak reference: a
-                    # bound method would make snapshot and kernel a cycle,
-                    # so an evicted snapshot's arrays would wait for the
-                    # cyclic collector instead of being freed on eviction.
-                    snapshot = weakref.ref(self)
-
-                    def adopt(incidence: TriangleIncidence) -> None:
-                        owner = snapshot()
-                        if owner is not None:
-                            owner._adopt_incidence(incidence)
-
                     self._kernel = QueryKernel(
                         self.csr,
                         self.trussness,
                         incidence=self.incidence,
-                        on_enumerate=adopt,
+                        on_enumerate=self._adopter(),
                     )
         return self._kernel
 
@@ -848,6 +857,9 @@ class CTCEngine:
         ------
         ConfigurationError
             If the directory holds no durable state.
+        CheckpointFormatError
+            If the newest intact checkpoint was written in a format this
+            build does not read.
         WalCorruptionError
             On mid-log WAL damage or a checkpoint/WAL version gap.
         """
@@ -1284,14 +1296,14 @@ class CTCEngine:
             incidence = patch_incidence(base.incidence, patch)
             with self._mutex:
                 self.stats.incidence_patches += 1
-        trussness, _ = incremental_truss_update(
+        trussness, changed = incremental_truss_update(
             base.csr,
             base.trussness,
             patch,
             incidence=base.incidence,
             new_incidence=incidence,
         )
-        return EngineSnapshot(
+        built = EngineSnapshot(
             version=version,
             csr=patch.csr,
             trussness=trussness,
@@ -1299,6 +1311,15 @@ class CTCEngine:
             incidence=incidence,
             on_enumerate=self._note_enumeration,
         )
+        base_kernel = base._kernel
+        if base_kernel is not None:
+            # Derive the query kernel from the base's instead of leaving the
+            # first query to rebuild it: only the touched rows re-sort.
+            built._kernel = base_kernel.carried(
+                patch, trussness, changed, incidence=incidence,
+                on_enumerate=built._adopter(),
+            )
+        return built
 
     def cached_versions(self) -> list[int]:
         """Return the versions currently cached, oldest first."""

@@ -68,7 +68,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError, WalCorruptionError
+from repro.exceptions import (
+    CheckpointFormatError,
+    ConfigurationError,
+    WalCorruptionError,
+)
 from repro.graph.csr import CSRGraph
 from repro.graph.csr_triangles import TriangleIncidence
 from repro.graph.delta import GraphDelta
@@ -462,6 +466,13 @@ class CheckpointStore:
         absent or mis-shaped, or (with ``verify=True``) whose array bytes
         fail their CRC is *skipped* — recovery falls back to the next older
         checkpoint and, past the oldest, to WAL-only replay.
+
+        Raises
+        ------
+        CheckpointFormatError
+            If the newest intact manifest names a ``format_version`` this
+            build does not read.  An intact foreign checkpoint is not
+            damage, so it is refused rather than skipped.
         """
         for version in reversed(self.versions()):
             loaded = self._load(version, verify=verify)
@@ -475,8 +486,15 @@ class CheckpointStore:
             manifest = read_manifest(os.path.join(directory, "manifest.json"))
         except (OSError, ValueError):
             return None
-        if manifest.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-            return None
+        found = manifest.get("format_version")
+        if found != CHECKPOINT_FORMAT_VERSION:
+            raise CheckpointFormatError(
+                f"checkpoint {directory} has format version {found!r}; this "
+                f"build reads format version {CHECKPOINT_FORMAT_VERSION}",
+                path=directory,
+                found=found,
+                expected=CHECKPOINT_FORMAT_VERSION,
+            )
         arrays: dict[str, np.ndarray] = {}
         try:
             for name, entry in manifest["arrays"].items():
@@ -614,6 +632,9 @@ class DurabilityManager:
         ------
         ConfigurationError
             If the directory holds no durable state at all.
+        CheckpointFormatError
+            If the newest intact checkpoint has a foreign format version
+            (raised before the WAL is opened).
         WalCorruptionError
             On mid-log WAL damage (torn tails are repaired silently).
         """

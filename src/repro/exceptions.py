@@ -189,3 +189,31 @@ class WalCorruptionError(ReproError):
         super().__init__(message)
         self.path = path
         self.offset = offset
+
+
+class CheckpointFormatError(ReproError):
+    """A checkpoint was written in a format this build does not read.
+
+    Checkpoint manifests carry a ``format_version``.  A manifest that
+    passes its checksum but names another version is not damage: the
+    checkpoint is intact but foreign (written by another release).
+    Skipping it like a damaged one would silently fall back to an older
+    checkpoint, or fail later with a misleading
+    :class:`WalCorruptionError` about a WAL gap, so recovery refuses it up
+    front instead.
+
+    Attributes
+    ----------
+    path:
+        The checkpoint directory.
+    found:
+        The manifest's ``format_version`` (``None`` if absent).
+    expected:
+        The format version this build reads and writes.
+    """
+
+    def __init__(self, message: str, *, path: str, found, expected: int) -> None:
+        super().__init__(message)
+        self.path = path
+        self.found = found
+        self.expected = expected

@@ -42,7 +42,20 @@ from repro.graph.delta import GraphDelta
 from repro.graph.keys import EdgeKey, edge_key
 from repro.graph.simple_graph import UndirectedGraph
 
-__all__ = ["CSRGraph", "CSRPatch", "CSRSubgraph"]
+__all__ = ["CSRGraph", "CSRPatch", "CSRSubgraph", "segment_slots"]
+
+
+def segment_slots(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenate the index ranges ``[starts[i], starts[i] + counts[i])`` in order.
+
+    The segment gather the array kernels use to read many CSR rows (or row
+    prefixes) at once: one ``repeat`` of each segment's start minus the
+    preceding total, plus one global ``arange``.
+    """
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(starts - offsets, counts) + np.arange(
+        int(counts.sum()), dtype=np.int64
+    )
 
 
 @dataclass(frozen=True)
@@ -95,35 +108,19 @@ class CSRPatch:
         ``int64`` array mapping old node ids to new node ids (``-1`` for
         removed nodes), or ``None`` when the node set did not change (the
         identity mapping).
+    new_of_old:
+        ``int64`` array of length *old* edge count, the inverse of
+        ``edge_origin``: entry ``e`` is the new id of old edge ``e``, or
+        ``-1`` if the delta removed it.  ``apply_delta`` computes it once,
+        so every consumer carrying per-edge structures across the patch
+        (incidence, trussness, the query kernel) shares one map.
     """
 
     csr: "CSRGraph"
     edge_origin: np.ndarray
     removed_edge_ids: np.ndarray
     node_remap: np.ndarray | None
-
-    @property
-    def old_edge_count(self) -> int:
-        """The edge count of the snapshot the delta was applied to.
-
-        Every old edge either survived (it appears in ``edge_origin``) or
-        was removed (it appears in ``removed_edge_ids``), so the old count
-        is recoverable from the patch alone.
-        """
-        return int((self.edge_origin >= 0).sum()) + int(self.removed_edge_ids.size)
-
-    def new_ids_of_old(self, old_edge_count: int | None = None) -> np.ndarray:
-        """Return the inverse mapping: old edge id -> new edge id or ``-1``.
-
-        ``old_edge_count`` defaults to :attr:`old_edge_count`; passing it
-        explicitly just skips the recount.
-        """
-        if old_edge_count is None:
-            old_edge_count = self.old_edge_count
-        inverse = np.full(old_edge_count, -1, dtype=np.int64)
-        carried = self.edge_origin >= 0
-        inverse[self.edge_origin[carried]] = np.nonzero(carried)[0]
-        return inverse
+    new_of_old: np.ndarray
 
     def inserted_edge_ids(self) -> np.ndarray:
         """Return the new edge ids the delta inserted, in ascending order."""
@@ -135,14 +132,21 @@ class CSRPatch:
         Edge ids are row-major over node ids, so the surviving edges'
         old-id order and new-id order agree exactly when the node remap is
         monotonic — always, except when adding a label flips the node sort
-        into its ``repr`` fallback.  Consumers transplanting whole per-edge
-        structures (:func:`repro.graph.csr_triangles.patch_incidence`) use
-        this to skip re-canonicalization on the common path.
+        into its ``repr`` fallback.  :meth:`CSRGraph.apply_delta` then
+        merges edge ids instead of sorting them, and consumers transplanting
+        whole per-edge structures
+        (:func:`repro.graph.csr_triangles.patch_incidence`) carry them
+        without re-canonicalization.
         """
-        if self.node_remap is None:
-            return True
-        kept = self.node_remap[self.node_remap >= 0]
-        return kept.size <= 1 or bool(np.all(np.diff(kept) > 0))
+        return _is_monotone(self.node_remap)
+
+
+def _is_monotone(node_remap: np.ndarray | None) -> bool:
+    """Whether a node remap keeps the surviving nodes' relative order."""
+    if node_remap is None:
+        return True
+    kept = node_remap[node_remap >= 0]
+    return kept.size <= 1 or bool(np.all(np.diff(kept) > 0))
 
 
 class CSRGraph:
@@ -324,10 +328,19 @@ class CSRGraph:
         """Return a new snapshot with ``delta`` applied, patching touched rows only.
 
         The result is bit-for-bit identical to ``CSRGraph.from_graph`` of
-        the mutated graph (same label order, same arrays), but is built by
-        editing only the adjacency rows the delta touches: untouched rows
-        are bulk-copied, and the global edge-id reassignment runs as one
-        vectorized ``lexsort`` pass instead of a per-slot Python loop.
+        the mutated graph (same label order, same arrays), but is built from
+        this snapshot's arrays in time proportional to what the delta
+        touches plus a few linear gathers:
+
+        * untouched adjacency rows are bulk-copied, and only the rows of the
+          changed edges' endpoints are edited;
+        * edge ids are *merged*, not re-sorted.  While the node remap is
+          monotone (:meth:`CSRPatch.preserves_edge_order`) the surviving
+          edges keep their relative order, so the inserted edges' row-major
+          keys are ``searchsorted`` into the surviving ones, and every copied
+          slot's edge id is one gather through the old→new edge map.  Only a
+          non-monotone remap (a label flipping the node sort into its
+          ``repr`` fallback) sorts the surviving plus inserted keys.
 
         ``delta`` must be normalized against this snapshot (see
         :mod:`repro.graph.delta`); violations raise
@@ -336,11 +349,13 @@ class CSRGraph:
         num_old_nodes = self.number_of_nodes()
         num_old_edges = self.number_of_edges()
         if delta.is_empty():
+            identity = np.arange(num_old_edges, dtype=np.int64)
             return CSRPatch(
                 csr=self,
-                edge_origin=np.arange(num_old_edges, dtype=np.int64),
+                edge_origin=identity,
                 removed_edge_ids=np.zeros(0, dtype=np.int64),
                 node_remap=None,
+                new_of_old=identity,
             )
 
         removed_nodes = delta.removed_nodes
@@ -375,9 +390,8 @@ class CSRGraph:
         # --- resolve edge changes into id space ------------------------
         removed_eids: list[int] = []
         removed_per_node: dict[int, int] = {}
-        # (new_id -> neighbours to drop / insert), for rows of *kept* nodes.
-        drop_neighbors: dict[int, set[int]] = {}
-        insert_neighbors: dict[int, list[int]] = {}
+        # New ids of kept rows that lose a slot, and per-row degree changes.
+        touched: set[int] = set()
         degree_delta: dict[int, int] = {}
 
         for a, b in delta.removed_edges:
@@ -385,15 +399,10 @@ class CSRGraph:
             removed_eids.append(self.edge_id(old_u, old_v))
             for endpoint in (old_u, old_v):
                 removed_per_node[endpoint] = removed_per_node.get(endpoint, 0) + 1
-            if node_remap is None:
-                new_u, new_v = old_u, old_v
-            else:
-                new_u, new_v = int(node_remap[old_u]), int(node_remap[old_v])
-            if new_u >= 0 and new_v >= 0:
-                drop_neighbors.setdefault(new_u, set()).add(new_v)
-                drop_neighbors.setdefault(new_v, set()).add(new_u)
-            for endpoint in (new_u, new_v):
+                if node_remap is not None:
+                    endpoint = int(node_remap[endpoint])
                 if endpoint >= 0:
+                    touched.add(endpoint)
                     degree_delta[endpoint] = degree_delta.get(endpoint, 0) - 1
 
         # Every edge incident to a removed node must be listed explicitly.
@@ -406,6 +415,7 @@ class CSRGraph:
                     "incident edges"
                 )
 
+        inserted_pairs: list[tuple[int, int]] = []
         for a, b in delta.added_edges:
             if a in removed_nodes or b in removed_nodes:
                 raise GraphError(f"delta adds edge ({a!r}, {b!r}) incident to a removed node")
@@ -415,10 +425,51 @@ class CSRGraph:
                 raise NodeNotFoundError(missing.args[0]) from None
             if a in self._ids and b in self._ids and self.has_edge(self._ids[a], self._ids[b]):
                 raise GraphError(f"delta adds edge ({a!r}, {b!r}) which is already present")
-            insert_neighbors.setdefault(new_u, []).append(new_v)
-            insert_neighbors.setdefault(new_v, []).append(new_u)
+            inserted_pairs.append((min(new_u, new_v), max(new_u, new_v)))
             for endpoint in (new_u, new_v):
                 degree_delta[endpoint] = degree_delta.get(endpoint, 0) + 1
+
+        # --- edge ids: the survivors merged with the inserted edges ----
+        removed_ids = np.asarray(sorted(removed_eids), dtype=np.int64)
+        survivor_mask = np.ones(num_old_edges, dtype=bool)
+        survivor_mask[removed_ids] = False
+        surviving = np.nonzero(survivor_mask)[0]
+        surv_u, surv_v = self.edge_u[surviving], self.edge_v[surviving]
+        if node_remap is not None:
+            surv_u, surv_v = node_remap[surv_u], node_remap[surv_v]
+            surv_u, surv_v = np.minimum(surv_u, surv_v), np.maximum(surv_u, surv_v)
+        inserted = np.asarray(sorted(inserted_pairs), dtype=np.int64).reshape(-1, 2)
+        surv_keys = surv_u * num_new_nodes + surv_v
+        ins_keys = inserted[:, 0] * num_new_nodes + inserted[:, 1]
+        num_new_edges = int(surviving.size + inserted.shape[0])
+        if _is_monotone(node_remap):
+            # Row-major keys of the survivors are still ascending: merge.
+            ins_pos = np.searchsorted(surv_keys, ins_keys) + np.arange(
+                ins_keys.size, dtype=np.int64
+            )
+            surv_pos = np.arange(surviving.size, dtype=np.int64)
+            if ins_keys.size:
+                surv_pos += np.searchsorted(ins_keys, surv_keys)
+        else:
+            rank = np.empty(num_new_edges, dtype=np.int64)
+            rank[np.argsort(np.concatenate([surv_keys, ins_keys]), kind="stable")] = (
+                np.arange(num_new_edges, dtype=np.int64)
+            )
+            surv_pos, ins_pos = rank[:surviving.size], rank[surviving.size:]
+        new_edge_u = np.empty(num_new_edges, dtype=np.int64)
+        new_edge_v = np.empty(num_new_edges, dtype=np.int64)
+        new_edge_u[surv_pos], new_edge_v[surv_pos] = surv_u, surv_v
+        new_edge_u[ins_pos], new_edge_v[ins_pos] = inserted[:, 0], inserted[:, 1]
+        edge_origin = np.full(num_new_edges, -1, dtype=np.int64)
+        edge_origin[surv_pos] = surviving
+        new_of_old = np.full(num_old_edges, -1, dtype=np.int64)
+        new_of_old[surviving] = surv_pos
+
+        # (new row -> [(neighbour, new edge id)]) for the inserted slots.
+        insert_slots: dict[int, list[tuple[int, int]]] = {}
+        for (u, v), edge in zip(inserted.tolist(), ins_pos.tolist()):
+            insert_slots.setdefault(u, []).append((v, edge))
+            insert_slots.setdefault(v, []).append((u, edge))
 
         # --- new degrees and indptr ------------------------------------
         old_degrees = np.diff(self.indptr)
@@ -433,59 +484,22 @@ class CSRGraph:
         new_indptr = np.zeros(num_new_nodes + 1, dtype=np.int64)
         np.cumsum(new_degrees, out=new_indptr[1:])
         total_slots = int(new_indptr[-1])
+        if total_slots != 2 * num_new_edges:
+            raise GraphError("delta produced an asymmetric adjacency structure")
         new_indices = np.empty(total_slots, dtype=np.int64)
+        new_slot_edge = np.empty(total_slots, dtype=np.int64)
 
-        # --- fill adjacency rows ---------------------------------------
+        # --- fill adjacency rows and their edge ids --------------------
         if node_remap is None:
-            self._fill_rows_fast(new_indptr, new_indices, drop_neighbors, insert_neighbors)
+            self._fill_rows_fast(
+                new_of_old, new_indptr, new_indices, new_slot_edge,
+                sorted(touched | set(insert_slots)), insert_slots,
+            )
         else:
             self._fill_rows_remapped(
-                node_remap, new_indptr, new_indices, drop_neighbors, insert_neighbors,
-                num_new_nodes,
+                node_remap, new_of_old, new_indptr, new_indices, new_slot_edge,
+                insert_slots, num_new_nodes,
             )
-
-        # --- vectorized edge-id assignment (row-major (u, v), u < v) ---
-        row_of_slot = np.repeat(np.arange(num_new_nodes, dtype=np.int64), new_degrees)
-        low = np.minimum(row_of_slot, new_indices)
-        high = np.maximum(row_of_slot, new_indices)
-        # Composite-key argsort, equivalent to np.lexsort((high, low)) but
-        # one sorting pass (both keys are node ids < num_new_nodes).
-        order = np.argsort(low * (num_new_nodes + 1) + high, kind="stable")
-        if total_slots % 2:
-            raise GraphError("delta produced an asymmetric adjacency structure")
-        new_slot_edge = np.empty(total_slots, dtype=np.int64)
-        new_slot_edge[order] = np.arange(total_slots, dtype=np.int64) // 2
-        new_edge_u = np.ascontiguousarray(low[order][::2])
-        new_edge_v = np.ascontiguousarray(high[order][::2])
-        if not (
-            np.array_equal(new_edge_u, low[order][1::2])
-            and np.array_equal(new_edge_v, high[order][1::2])
-        ):
-            raise GraphError("delta produced an asymmetric adjacency structure")
-        num_new_edges = total_slots // 2
-
-        # --- old edge -> new edge correspondence -----------------------
-        removed_ids = np.asarray(sorted(removed_eids), dtype=np.int64)
-        survivor_mask = np.ones(num_old_edges, dtype=bool)
-        survivor_mask[removed_ids] = False
-        surviving = np.nonzero(survivor_mask)[0]
-        if node_remap is None:
-            surviving_u = self.edge_u[surviving]
-            surviving_v = self.edge_v[surviving]
-        else:
-            surviving_u = node_remap[self.edge_u[surviving]]
-            surviving_v = node_remap[self.edge_v[surviving]]
-        stride = num_new_nodes + 1
-        old_keys = (
-            np.minimum(surviving_u, surviving_v) * stride
-            + np.maximum(surviving_u, surviving_v)
-        )
-        new_keys = new_edge_u * stride + new_edge_v
-        positions = np.searchsorted(new_keys, old_keys)
-        if positions.size and not np.array_equal(new_keys[positions], old_keys):
-            raise GraphError("delta removed an edge implicitly (not listed in removed_edges)")
-        edge_origin = np.full(num_new_edges, -1, dtype=np.int64)
-        edge_origin[positions] = surviving
 
         patched = CSRGraph(
             indptr=new_indptr,
@@ -501,81 +515,104 @@ class CSRGraph:
             edge_origin=edge_origin,
             removed_edge_ids=removed_ids,
             node_remap=node_remap,
+            new_of_old=new_of_old,
         )
 
+    @staticmethod
     def _edited_row(
-        self,
         row: np.ndarray,
-        dropped: set[int] | None,
-        inserted: list[int] | None,
-    ) -> np.ndarray:
-        """Return ``row`` (sorted ids) with ``dropped`` removed and ``inserted`` merged."""
-        if dropped:
-            row = row[~np.isin(row, np.fromiter(dropped, dtype=np.int64, count=len(dropped)))]
+        edges: np.ndarray,
+        inserted: list[tuple[int, int]] | None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Edit one sorted row: drop removed slots (edge id ``-1``), merge ``inserted``.
+
+        ``edges`` holds the row's *new* edge ids; ``inserted`` lists
+        ``(neighbour, new edge id)`` pairs.  Returns the edited row and its
+        parallel edge ids, sorted by neighbour.
+        """
+        keep = edges >= 0
+        if not keep.all():
+            row, edges = row[keep], edges[keep]
         if inserted:
-            row = np.concatenate([row, np.asarray(inserted, dtype=np.int64)])
-            row.sort(kind="stable")
-        return row
+            extra = np.asarray(inserted, dtype=np.int64)
+            row = np.concatenate([row, extra[:, 0]])
+            edges = np.concatenate([edges, extra[:, 1]])
+            order = np.argsort(row, kind="stable")
+            row, edges = row[order], edges[order]
+        return row, edges
 
     def _fill_rows_fast(
         self,
+        new_of_old: np.ndarray,
         new_indptr: np.ndarray,
         new_indices: np.ndarray,
-        drop_neighbors: dict[int, set[int]],
-        insert_neighbors: dict[int, list[int]],
+        new_slot_edge: np.ndarray,
+        touched: list[int],
+        insert_slots: dict[int, list[tuple[int, int]]],
     ) -> None:
         """Fill rows when the node set is unchanged: bulk-copy untouched gaps."""
-        touched = sorted(set(drop_neighbors) | set(insert_neighbors))
         previous = 0
-        for node in touched:
-            # Rows [previous, node) are untouched: identical content, shifted offset.
-            old_start, old_stop = int(self.indptr[previous]), int(self.indptr[node])
+        for node in [*touched, None]:
+            # Rows [previous, node) are untouched: identical neighbours,
+            # shifted offset, edge ids mapped old -> new.
+            old_start = int(self.indptr[previous])
+            old_stop = int(self.indptr[-1 if node is None else node])
             new_start = int(new_indptr[previous])
-            new_indices[new_start:new_start + (old_stop - old_start)] = (
-                self.indices[old_start:old_stop]
+            new_stop = new_start + (old_stop - old_start)
+            new_indices[new_start:new_stop] = self.indices[old_start:old_stop]
+            np.take(
+                new_of_old, self.slot_edge[old_start:old_stop],
+                out=new_slot_edge[new_start:new_stop],
             )
-            row = self._edited_row(
-                self.indices[self.indptr[node]:self.indptr[node + 1]],
-                drop_neighbors.get(node),
-                insert_neighbors.get(node),
+            if node is None:
+                break
+            lo, hi = int(self.indptr[node]), int(self.indptr[node + 1])
+            row, edges = self._edited_row(
+                self.indices[lo:hi], new_of_old[self.slot_edge[lo:hi]],
+                insert_slots.get(node),
             )
             new_indices[new_indptr[node]:new_indptr[node + 1]] = row
+            new_slot_edge[new_indptr[node]:new_indptr[node + 1]] = edges
             previous = node + 1
-        old_start = int(self.indptr[previous])
-        new_start = int(new_indptr[previous])
-        new_indices[new_start:] = self.indices[old_start:]
 
     def _fill_rows_remapped(
         self,
         node_remap: np.ndarray,
+        new_of_old: np.ndarray,
         new_indptr: np.ndarray,
         new_indices: np.ndarray,
-        drop_neighbors: dict[int, set[int]],
-        insert_neighbors: dict[int, list[int]],
+        new_slot_edge: np.ndarray,
+        insert_slots: dict[int, list[tuple[int, int]]],
         num_new_nodes: int,
     ) -> None:
-        """Fill rows when the node set changed: every kept row is id-remapped."""
+        """Fill rows when the node set changed: every kept row is id-remapped.
+
+        Slots towards removed nodes belong to removed edges (edge id ``-1``),
+        so the row edit drops them with the rest of the removals.
+        """
         remapped = node_remap[self.indices]
+        slot_edges = new_of_old[self.slot_edge]
         # The remap is monotonic whenever the old and new label orders agree
         # on kept labels (always, except when adding a label flips the sort
         # into its repr fallback); rows then stay sorted after remapping.
+        monotonic = _is_monotone(node_remap)
         kept_ids = node_remap[node_remap >= 0]
-        monotonic = bool(np.all(np.diff(kept_ids) > 0)) if kept_ids.size > 1 else True
         old_of_new = np.full(num_new_nodes, -1, dtype=np.int64)
         old_of_new[kept_ids] = np.nonzero(node_remap >= 0)[0]
+        empty = np.zeros(0, dtype=np.int64)
         for node in range(num_new_nodes):
             old_node = int(old_of_new[node])
             if old_node >= 0:
-                row = remapped[self.indptr[old_node]:self.indptr[old_node + 1]]
-                row = row[row >= 0]  # neighbours that were removed nodes
+                lo, hi = int(self.indptr[old_node]), int(self.indptr[old_node + 1])
+                row, edges = remapped[lo:hi], slot_edges[lo:hi]
                 if not monotonic:
-                    row = np.sort(row)
-                row = self._edited_row(
-                    row, drop_neighbors.get(node), insert_neighbors.get(node)
-                )
+                    order = np.argsort(row, kind="stable")
+                    row, edges = row[order], edges[order]
             else:
-                row = np.asarray(sorted(insert_neighbors.get(node, [])), dtype=np.int64)
+                row, edges = empty, empty
+            row, edges = self._edited_row(row, edges, insert_slots.get(node))
             new_indices[new_indptr[node]:new_indptr[node + 1]] = row
+            new_slot_edge[new_indptr[node]:new_indptr[node + 1]] = edges
 
     # ------------------------------------------------------------------
     # subgraph extraction

@@ -44,7 +44,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, segment_slots
 
 __all__ = [
     "BFSResult",
@@ -173,9 +173,7 @@ def masked_bfs(
         total = int(counts.sum())
         if total == 0:
             break
-        # Segment gather of the frontier's row slices: one repeat + arange.
-        offsets = np.cumsum(counts) - counts
-        gather = np.repeat(starts - offsets, counts) + np.arange(total, dtype=np.int64)
+        gather = segment_slots(starts, counts)  # the frontier's row slices
         neighbors = indices[gather]
         keep: np.ndarray | None = None
         if edge_alive is not None:

@@ -79,6 +79,24 @@ class _LazyAdjacency:
         return cached
 
 
+class _Overlay(dict):
+    """``{edge id: trussness}`` over a carried array, filled on first read.
+
+    The update reads and writes a few edges' values in scalar Python;
+    converting the whole array to a list and back would cost O(m) each way.
+    """
+
+    __slots__ = ("_base",)
+
+    def __init__(self, base: np.ndarray) -> None:
+        super().__init__()
+        self._base = base
+
+    def __missing__(self, edge: int) -> int:
+        value = self[edge] = int(self._base[edge])
+        return value
+
+
 def _h_index_plus_two(values_desc: list[int]) -> int:
     """Return ``2 + H`` for trussness values sorted in decreasing order.
 
@@ -134,39 +152,39 @@ def incremental_truss_update(
 
     carried = np.full(num_edges, -1, dtype=np.int64)
     carried[carried_mask] = old_trussness[origin[carried_mask]]
-    trussness = carried.tolist()
-    inserted = np.nonzero(~carried_mask)[0]
-    for edge in inserted.tolist():
+    # Only the edges the update reads ever become Python ints.
+    trussness = _Overlay(carried)
+    inserted = np.nonzero(~carried_mask)[0].tolist()
+    pending = set(inserted)  # inserted edges not activated yet
+    for edge in inserted:
         trussness[edge] = 2  # placeholder until the edge is activated
 
-    active = carried_mask.copy()
     adjacency = _LazyAdjacency(new_csr)
     edge_u = new_csr.edge_u
     edge_v = new_csr.edge_v
+    corner_pairs: dict[int, list[tuple[int, int]]] = {}
 
     if new_incidence is not None:
         inc_indptr = new_incidence.inc_indptr
         inc_triangles = new_incidence.inc_triangles
         triangle_rows = new_incidence.edges
 
-        def active_triangles(edge: int) -> list[tuple[int, int]]:
-            """The other two corners of every active triangle through ``edge``."""
+        def triangle_pairs(edge: int) -> list[tuple[int, int]]:
+            """The other two corners of every triangle through ``edge``."""
             row = inc_triangles[inc_indptr[edge]:inc_indptr[edge + 1]]
             pairs = []
             for first, second, third in triangle_rows[row].tolist():
                 if first == edge:
-                    one, two = second, third
+                    pairs.append((second, third))
                 elif second == edge:
-                    one, two = first, third
+                    pairs.append((first, third))
                 else:
-                    one, two = first, second
-                if active[one] and active[two]:
-                    pairs.append((one, two))
+                    pairs.append((first, second))
             return pairs
     else:
 
-        def active_triangles(edge: int) -> list[tuple[int, int]]:
-            """The other two corners of every active triangle through ``edge``."""
+        def triangle_pairs(edge: int) -> list[tuple[int, int]]:
+            """The other two corners of every triangle through ``edge``."""
             first = adjacency(int(edge_u[edge]))
             second = adjacency(int(edge_v[edge]))
             if len(first) > len(second):
@@ -174,11 +192,20 @@ def incremental_truss_update(
             pairs = []
             for node, other_first in first.items():
                 other_second = second.get(node)
-                if other_second is None:
-                    continue
-                if active[other_first] and active[other_second]:
+                if other_second is not None:
                     pairs.append((other_first, other_second))
             return pairs
+
+    def active_triangles(edge: int) -> list[tuple[int, int]]:
+        """The other two corners of every *active* triangle through ``edge``."""
+        pairs = corner_pairs.get(edge)
+        if pairs is None:
+            pairs = corner_pairs[edge] = triangle_pairs(edge)
+        if not pending:
+            return pairs
+        return [
+            (one, two) for one, two in pairs if one not in pending and two not in pending
+        ]
 
     def operator_value(edge: int) -> int:
         """Evaluate the fixpoint operator at ``edge`` over *active* triangles."""
@@ -221,7 +248,7 @@ def incremental_truss_update(
     # Deletion pass: seed with surviving edges that lost a triangle.
     # ------------------------------------------------------------------
     if patch.removed_edge_ids.size:
-        new_of_old = patch.new_ids_of_old(old_csr.number_of_edges())
+        new_of_old = patch.new_of_old
         if incidence is not None:
             # Every triangle lost to the deletion batch is incident to some
             # removed edge; its (surviving) corner edges are the seeds.
@@ -252,8 +279,8 @@ def incremental_truss_update(
     # ------------------------------------------------------------------
     # Insertion pass: activate one edge at a time against settled values.
     # ------------------------------------------------------------------
-    for new_edge in inserted.tolist():
-        active[new_edge] = True
+    for new_edge in inserted:
+        pending.discard(new_edge)
         triangles = active_triangles(new_edge)
 
         minima = sorted(
@@ -296,6 +323,10 @@ def incremental_truss_update(
         members = candidates | {new_edge}
         drain(deque(sorted(members)), members)
 
-    result = np.asarray(trussness, dtype=np.int64)
+    result = carried.copy()
+    if trussness:
+        result[np.fromiter(trussness, dtype=np.int64, count=len(trussness))] = list(
+            trussness.values()
+        )
     changed = np.nonzero(result != carried)[0]
     return result, changed

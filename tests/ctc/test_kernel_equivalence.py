@@ -624,7 +624,7 @@ class TestSteinerSweepPruning:
                     nodes, edges = steiner_mod.build_truss_steiner_tree(kernel, ids, gamma)
                     assert {csr.node_label(n) for n in nodes} == set(expected.nodes())
                     assert {
-                        frozenset((csr.node_label(kernel.edge_u[e]), csr.node_label(kernel.edge_v[e])))
+                        frozenset((csr.node_label(csr.edge_u[e]), csr.node_label(csr.edge_v[e])))
                         for e in edges
                     } == {frozenset(edge) for edge in expected.edges()}
                 actual = outcome(snapshot, query, "lctc", eta=12, gamma=gamma)

@@ -22,8 +22,10 @@ from repro.engine import (
     SlidingWindowEngine,
     WriteAheadLog,
 )
-from repro.exceptions import ConfigurationError, WalCorruptionError
+from repro.engine.persistence import CHECKPOINT_FORMAT_VERSION
+from repro.exceptions import CheckpointFormatError, ConfigurationError, WalCorruptionError
 from repro.graph.delta import GraphDelta
+from repro.graph.disk import read_manifest, write_manifest
 from repro.graph.generators import complete_graph, erdos_renyi_graph
 
 common_settings = settings(
@@ -35,6 +37,14 @@ def _config(tmp_path, **overrides) -> DurabilityConfig:
     defaults = dict(path=tmp_path / "store", fsync="off", checkpoint_every=None)
     defaults.update(overrides)
     return DurabilityConfig(**defaults)
+
+
+def _set_format_version(checkpoint_dir: str, version: int) -> None:
+    """Rewrite a checkpoint manifest (checksum included) to a foreign version."""
+    manifest_path = os.path.join(checkpoint_dir, "manifest.json")
+    manifest = read_manifest(manifest_path)
+    manifest["format_version"] = version
+    write_manifest(manifest_path, manifest)
 
 
 def _assert_snapshots_identical(expected, actual) -> None:
@@ -268,16 +278,14 @@ class TestCheckpointStore:
         # exactly the trade-off DurabilityConfig.verify_checkpoints states.
         assert store.load_latest(verify=False) is not None
 
-    def test_unknown_format_version_skipped(self, tmp_path, snapshot):
-        from repro.graph.disk import read_manifest, write_manifest
-
+    def test_unknown_format_version_refused(self, tmp_path, snapshot):
         store = CheckpointStore(tmp_path)
         path = store.write(snapshot)
-        manifest_path = os.path.join(path, "manifest.json")
-        manifest = read_manifest(manifest_path)
-        manifest["format_version"] = 999
-        write_manifest(manifest_path, manifest)
-        assert store.load_latest() is None
+        _set_format_version(path, 999)
+        with pytest.raises(CheckpointFormatError, match="format version 999") as raised:
+            store.load_latest()
+        assert raised.value.path == path
+        assert (raised.value.found, raised.value.expected) == (999, CHECKPOINT_FORMAT_VERSION)
 
 
 class TestEngineDurability:
@@ -293,6 +301,22 @@ class TestEngineDurability:
         empty.mkdir()
         with pytest.raises(ConfigurationError, match="no durable state"):
             CTCEngine.recover(empty)
+
+    def test_recover_refuses_foreign_checkpoint_format(self, tmp_path):
+        """An intact checkpoint of another format fails recovery up front,
+        not later as a WAL gap, and leaves the store untouched."""
+        config = _config(tmp_path)
+        engine = CTCEngine(complete_graph(5), durability=config)
+        engine.remove_edge(0, 1)
+        path = engine.checkpoint()
+        engine.add_edge(0, 1)
+        engine.close()
+        _set_format_version(path, CHECKPOINT_FORMAT_VERSION + 1)
+        wal_bytes = os.path.getsize(config.wal_path)
+        with pytest.raises(CheckpointFormatError, match="format version"):
+            CTCEngine.recover(config)
+        assert os.path.getsize(config.wal_path) == wal_bytes
+        assert os.path.isdir(path)
 
     def test_recover_rejects_reserved_kwargs(self, tmp_path):
         with pytest.raises(ValueError, match="manages 'copy'"):

@@ -435,6 +435,23 @@ class TestDurabilityFlags:
                  "--data-dir", str(tmp_path / "missing"), "--recover"]
             )
 
+    def test_recover_foreign_checkpoint_format_exits_cleanly(
+        self, figure1_file, tmp_path, capsys
+    ):
+        from repro.graph.disk import read_manifest, write_manifest
+
+        store = tmp_path / "store"
+        base = ["--query", "q1", "q2", "--engine", "--data-dir", str(store)]
+        assert main(["search", figure1_file] + base + ["--checkpoint-every", "1",
+                    "--repeat", "2", "--mutate-every", "1"]) == 0
+        capsys.readouterr()
+        checkpoint = max(path for path in store.iterdir() if path.name.startswith("checkpoint-"))
+        manifest = read_manifest(checkpoint / "manifest.json")
+        manifest["format_version"] = 999
+        write_manifest(checkpoint / "manifest.json", manifest)
+        with pytest.raises(SystemExit, match="--recover failed: .*format version 999"):
+            main(["search"] + base + ["--recover"])
+
     def test_windowed_durable_recover(self, figure1_file, tmp_path, capsys):
         store = str(tmp_path / "store")
         args = ["--query", "q1", "q2", "--method", "lctc", "--eta", "50",

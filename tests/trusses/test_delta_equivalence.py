@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.engine import CTCEngine
 from repro.graph.csr import CSRGraph
+from repro.graph.csr_triangles import csr_triangle_incidence, patch_incidence
 from repro.graph.delta import GraphDelta
 from repro.graph.generators import (
     complete_graph,
@@ -157,6 +158,49 @@ class TestCsrDeltaEquivalence:
         assert patched.labels() == fresh.labels()
         for name in ("indptr", "indices", "slot_edge", "edge_u", "edge_v"):
             assert np.array_equal(getattr(patched, name), getattr(fresh, name)), name
+
+
+class TestLabelOrderFlip:
+    @common_settings
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        num_nodes=st.integers(min_value=12, max_value=22),
+        pick=st.integers(min_value=0, max_value=10_000),
+        removals=st.integers(min_value=0, max_value=3),
+    )
+    def test_repr_fallback_reorders_edge_ids(self, seed, num_nodes, pick, removals):
+        """A new ``str`` label makes the labels incomparable, so the node
+        order falls back to ``repr`` (``10`` now sorts before ``2``): the
+        remap is not monotone, edge ids must be re-sorted rather than
+        merged, and the incidence re-grouped rather than carried."""
+        graph = erdos_renyi_graph(num_nodes, 0.35, seed=seed)
+        csr = CSRGraph.from_graph(graph)
+        incidence = csr_triangle_incidence(csr)
+        trussness = csr_truss_decomposition(csr)
+        nodes = sorted(graph.nodes())
+        removed = sorted(graph.edges())[:removals]
+        added = [("x", nodes[pick % num_nodes]), ("x", nodes[(pick + 1) % num_nodes])]
+        for u, v in removed:
+            graph.remove_edge(u, v)
+        for u, v in added:
+            graph.add_edge(u, v)
+        patch = csr.apply_delta(
+            GraphDelta(added_nodes=["x"], added_edges=added, removed_edges=removed)
+        )
+        assert not patch.preserves_edge_order()
+        fresh = CSRGraph.from_graph(graph)
+        assert patch.csr.labels() == fresh.labels()
+        for name in ("indptr", "indices", "slot_edge", "edge_u", "edge_v"):
+            assert np.array_equal(getattr(patch.csr, name), getattr(fresh, name)), name
+        patched = patch_incidence(incidence, patch)
+        expected = csr_triangle_incidence(fresh)
+        assert np.array_equal(patched.edges, expected.edges)
+        assert np.array_equal(patched.inc_indptr, expected.inc_indptr)
+        assert np.array_equal(patched.inc_triangles, expected.inc_triangles)
+        updated, _changed = incremental_truss_update(
+            csr, trussness, patch, incidence=incidence, new_incidence=patched
+        )
+        assert np.array_equal(updated, csr_truss_decomposition(fresh))
 
 
 class TestEngineDeltaEquivalence:
